@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the thread-stress suites under ThreadSanitizer (the tsan CMake preset).
 # tests/test_threading.cpp is the main workload: the parallel manager's
-# racing engines, the multi-threaded simulation worker pool (including
+# racing engines (including the three-slot race, whose two alternating
+# packages adopt one warm gate snapshot concurrently), the multi-threaded simulation worker pool (including
 # oversubscription and mid-flight cancellation), the sharded alternating
 # checker, the region-parallel ZX pre-pass and several concurrent managers
 # at once. tests/test_task_pool.cpp drives the work-stealing pool's
@@ -17,7 +18,9 @@
 # jobs, and racing shutdown() callers (the double-join regression). The
 # SharedGateCacheEpochChurn stress (publishers/readers/retirer hammering one
 # cache while leases stay live) and the EnqueueWakesASleepingWorker missed-
-# wakeup regression run here too. Any TSan report fails the run.
+# wakeup regression run here too, as do the manager's raced-lookahead slot
+# tests of tests/test_check.cpp (private and injected pools). Any TSan
+# report fails the run.
 #
 # Usage: scripts/check_tsan.sh [ctest-regex]
 #   ctest-regex: optional -R filter (default: all thread-stress suites)
@@ -28,9 +31,9 @@ cd "$(dirname "$0")/.."
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j"$(nproc)" \
   --target test_threading test_task_pool test_zx_simplify \
-  test_fault_injection test_serve >/dev/null
+  test_fault_injection test_serve test_check >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R "${1:-ThreadingStressTest|TaskPoolTest|ZXRegionParallelTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|WatchdogTest|ImportFaultTest|JobServiceTest}"
+  -R "${1:-ThreadingStressTest|TaskPoolTest|ZXRegionParallelTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|WatchdogTest|ImportFaultTest|JobServiceTest|LookaheadRaceTest}"

@@ -88,10 +88,13 @@ std::string engineName(const EngineKind kind, const Configuration& config) {
 ///    halve a finite node budget — trades throughput for a tight memory
 ///    band, the right response to bad_alloc/budget failures.
 ///  - "sim-fallback": replace the alternating scheme by random-stimuli
-///    simulation, whose diagrams are vectors instead of matrices.
+///    simulation, whose diagrams are vectors instead of matrices. Skipped
+///    when `simFallback` is false (the raced lookahead slot, whose fallback
+///    would only duplicate the simulation slot beside it).
 ///  - "retry": nothing left to degrade; try again as-is (the failure may
 ///    have been transient, e.g. a bounded injected fault).
-std::string degradeStep(EngineKind& kind, Configuration& config) {
+std::string degradeStep(EngineKind& kind, Configuration& config,
+                        const bool simFallback) {
   if (config.checkThreads != 1 || config.simulationThreads != 1 ||
       config.zxParallelRegions != 1) {
     config.checkThreads = 1;
@@ -108,7 +111,7 @@ std::string degradeStep(EngineKind& kind, Configuration& config) {
     }
     return "gc-tight";
   }
-  if (kind == EngineKind::Alternating) {
+  if (kind == EngineKind::Alternating && simFallback) {
     kind = EngineKind::Simulation;
     return "sim-fallback";
   }
@@ -227,13 +230,31 @@ Result EquivalenceCheckingManager::run() {
     none.method = "none";
     return none;
   }
+  // Neither oracle wins everywhere (proportional on Grover-like circuits,
+  // lookahead on QFT/QPE/graph-state ones), so a parallel run races a
+  // lookahead alternating slot beside the configured one and takes the
+  // faster of the two for one extra core. Only when the pool has that core:
+  // a private pool is sized to the engines, while on a shared pool without
+  // a spare slot the extra task would queue ahead of simulation and slow
+  // every job down.
+  const bool raceLookahead =
+      config_.runAlternating && config_.parallel &&
+      config_.oracle != OracleStrategy::Lookahead &&
+      (externalPool_ == nullptr || externalPool_->slotCount() > kinds.size());
+  if (raceLookahead) {
+    kinds.push_back(EngineKind::Alternating);
+  }
   const std::size_t n = kinds.size();
+  const std::size_t lookaheadSlot = raceLookahead ? n - 1 : n;
 
   // Per-slot ladder state: the configuration (and kind) a slot currently
   // runs under, the rung applied before its current attempt, and the full
   // attempt lineage. Each slot's state is touched only by the task running
   // that slot (parallel rounds) or the manager thread (between rounds).
   std::vector<Configuration> slotConfig(n, config_);
+  if (raceLookahead) {
+    slotConfig[lookaheadSlot].oracle = OracleStrategy::Lookahead;
+  }
   std::vector<EngineKind> slotKind = kinds;
   std::vector<std::string> slotRung(n);
   std::vector<std::vector<AttemptRecord>> lineage(n);
@@ -423,7 +444,8 @@ Result EquivalenceCheckingManager::run() {
       for (const auto i : pending) {
         if (isFailureSlot(engineResults_[i].criterion) &&
             lineage[i].size() <= config_.engineRetryLimit) {
-          slotRung[i] = degradeStep(slotKind[i], slotConfig[i]);
+          slotRung[i] =
+              degradeStep(slotKind[i], slotConfig[i], i != lookaheadSlot);
           retry.push_back(i);
         }
       }

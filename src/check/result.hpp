@@ -63,7 +63,10 @@ struct Configuration {
   /// Threshold on | |tr(E)|/2^n - 1 | for the Hilbert-Schmidt criterion and
   /// on 1 - fidelity for simulation runs.
   double checkTolerance = 1e-9;
-  /// Oracle for the alternating scheme.
+  /// Oracle for the alternating scheme (ddAlternatingCheck and the
+  /// manager's first alternating slot). Unless it is Lookahead, a parallel
+  /// manager run whose pool has a spare core races a second alternating
+  /// slot under Lookahead beside it.
   OracleStrategy oracle = OracleStrategy::Proportional;
   /// Reconstruct CX-triples into SWAPs so they can be absorbed into the
   /// permutation tracker.
@@ -144,7 +147,8 @@ struct Configuration {
   /// Retries the manager grants each engine slot beyond its first attempt
   /// (0 = fail fast). Every retry runs under a configuration degraded one
   /// rung further down the ladder (single-thread, gc-tight, sim-fallback,
-  /// plain retry) and is recorded in the result's attempt lineage.
+  /// plain retry; the raced lookahead slot skips sim-fallback) and is
+  /// recorded in the result's attempt lineage.
   std::size_t engineRetryLimit = 0;
   /// Soft-watchdog poll budget in milliseconds (0 = disabled): when an
   /// engine stops polling its stop token for this long, the manager trips

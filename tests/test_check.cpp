@@ -1,4 +1,5 @@
 #include "check/manager.hpp"
+#include "check/task_pool.hpp"
 #include "circuits/benchmarks.hpp"
 #include "circuits/error_injection.hpp"
 #include "compile/decompose.hpp"
@@ -6,6 +7,12 @@
 #include "opt/optimizer.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <random>
+#include <string>
+#include <vector>
 
 namespace veriqc::check {
 namespace {
@@ -380,7 +387,114 @@ TEST(ManagerTest, ZXEngineCanBeEnabled) {
   EquivalenceCheckingManager manager(ghz(3), ghz(3), config);
   const auto result = manager.run();
   EXPECT_TRUE(provedEquivalent(result.criterion));
+  // Alternating, simulation, ZX, then the raced lookahead slot.
+  ASSERT_EQ(manager.engineResults().size(), 4U);
+  EXPECT_EQ(manager.engineResults()[2].method, "zx-calculus");
+  EXPECT_EQ(manager.engineResults()[3].method, "dd-alternating(lookahead)");
+}
+
+// --- raced lookahead slot ----------------------------------------------------
+
+std::vector<std::string> slotMethods(const EquivalenceCheckingManager& manager) {
+  std::vector<std::string> methods;
+  for (const auto& slot : manager.engineResults()) {
+    methods.push_back(slot.method);
+  }
+  return methods;
+}
+
+TEST(LookaheadRaceTest, ParallelRunRacesBothOracles) {
+  EquivalenceCheckingManager manager(ghz(4), ghz(4), quickConfig());
+  const auto result = manager.run();
+  EXPECT_TRUE(provedEquivalent(result.criterion)) << result.toString();
+  EXPECT_EQ(slotMethods(manager),
+            (std::vector<std::string>{"dd-alternating(proportional)",
+                                      "dd-simulation(classical)",
+                                      "dd-alternating(lookahead)"}));
+}
+
+TEST(LookaheadRaceTest, SequentialRunKeepsOneAlternatingSlot) {
+  std::mt19937_64 rng(11);
+  const auto compiled =
+      compile::compileForArchitecture(ghz(4), Architecture::linear(6));
+  const auto damaged = circuits::flipRandomCnot(compiled, rng);
+  ASSERT_TRUE(damaged.has_value());
+  for (const auto* g : {&compiled, &*damaged}) {
+    Configuration config = quickConfig();
+    config.parallel = false;
+    EquivalenceCheckingManager sequential(ghz(4), *g, config);
+    const auto seqResult = sequential.run();
+    config.parallel = true;
+    EquivalenceCheckingManager parallel(ghz(4), *g, config);
+    const auto parResult = parallel.run();
+    EXPECT_EQ(provedEquivalent(seqResult.criterion),
+              provedEquivalent(parResult.criterion));
+    EXPECT_EQ(seqResult.criterion == EquivalenceCriterion::NotEquivalent,
+              parResult.criterion == EquivalenceCriterion::NotEquivalent);
+    EXPECT_TRUE(isDefinitive(seqResult.criterion)) << seqResult.toString();
+    const auto methods = slotMethods(sequential);
+    EXPECT_EQ(std::count(methods.begin(), methods.end(),
+                         "dd-alternating(proportional)"),
+              1);
+    EXPECT_EQ(std::count(methods.begin(), methods.end(),
+                         "dd-alternating(lookahead)"),
+              0);
+  }
+}
+
+TEST(LookaheadRaceTest, LookaheadOracleIsNotRacedTwice) {
+  Configuration config = quickConfig();
+  config.oracle = OracleStrategy::Lookahead;
+  EquivalenceCheckingManager manager(ghz(4), ghz(4), config);
+  const auto result = manager.run();
+  EXPECT_TRUE(provedEquivalent(result.criterion)) << result.toString();
+  EXPECT_EQ(slotMethods(manager),
+            (std::vector<std::string>{"dd-alternating(lookahead)",
+                                      "dd-simulation(classical)"}));
+}
+
+TEST(LookaheadRaceTest, InjectedPoolWithoutSpareSlotGetsNoExtraSlot) {
+  // Two engines on a two-slot shared pool: a third task would queue ahead
+  // of simulation, so the race is not added.
+  TaskPool tight(2);
+  EquivalenceCheckingManager manager(ghz(4), ghz(4), quickConfig());
+  manager.useTaskPool(&tight);
+  EXPECT_TRUE(provedEquivalent(manager.run().criterion));
+  EXPECT_EQ(slotMethods(manager),
+            (std::vector<std::string>{"dd-alternating(proportional)",
+                                      "dd-simulation(classical)"}));
+  // One spare slot is enough.
+  TaskPool spare(3);
+  manager.useTaskPool(&spare);
+  EXPECT_TRUE(provedEquivalent(manager.run().criterion));
   EXPECT_EQ(manager.engineResults().size(), 3U);
+  EXPECT_EQ(manager.engineResults()[2].method, "dd-alternating(lookahead)");
+}
+
+TEST(LookaheadRaceTest, CompiledGraphStateIsDecided) {
+  // graph_state_30 of Table 1(a): the lookahead oracle's home ground.
+  const auto original = circuits::randomGraphState(30, 10, 1);
+  const auto compiled = compile::compileForArchitecture(
+      original, Architecture::ibmManhattanLike());
+  std::mt19937_64 rng(1014); // bench/table1_compiled's error seed
+  const auto damaged = circuits::flipRandomCnot(compiled, rng);
+  ASSERT_TRUE(damaged.has_value());
+  for (const auto* g : {&compiled, &*damaged}) {
+    Configuration config = quickConfig();
+    config.timeout = std::chrono::seconds(60);
+    EquivalenceCheckingManager manager(original, *g, config);
+    const auto result = manager.run();
+    if (g == &compiled) {
+      EXPECT_TRUE(provedEquivalent(result.criterion)) << result.toString();
+    } else {
+      EXPECT_EQ(result.criterion, EquivalenceCriterion::NotEquivalent)
+          << result.toString();
+    }
+    const auto methods = slotMethods(manager);
+    EXPECT_NE(std::find(methods.begin(), methods.end(),
+                        "dd-alternating(lookahead)"),
+              methods.end());
+  }
 }
 
 TEST(ManagerTest, TimeoutProducesTimeout) {
@@ -416,7 +530,9 @@ TEST(FirewallTest, ThrowingEngineBecomesEngineErrorSlot) {
   EXPECT_EQ(combined.criterion, EquivalenceCriterion::NotEquivalent)
       << combined.toString();
   const auto& slots = manager.engineResults();
-  ASSERT_EQ(slots.size(), 3U);
+  // The raced lookahead slot is appended after every configured engine.
+  ASSERT_EQ(slots.size(), 4U);
+  EXPECT_EQ(slots[3].method, "dd-alternating(lookahead)");
   EXPECT_EQ(slots[2].method, "dense");
   EXPECT_EQ(slots[2].criterion, EquivalenceCriterion::EngineError);
   EXPECT_FALSE(slots[2].errorMessage.empty());

@@ -3,13 +3,19 @@
 #include "check/manager.hpp"
 #include "circuits/benchmarks.hpp"
 #include "circuits/error_injection.hpp"
+#include "compile/decompose.hpp"
+#include "compile/mapper.hpp"
+#include "opt/optimizer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace veriqc::check {
@@ -57,6 +63,80 @@ TEST(CrossParadigmTest, SingleGateMutantsNeverProveEquivalent) {
     const auto zx = zxCheck(base, *mutant);
     EXPECT_FALSE(provedEquivalent(zx.criterion))
         << "seed " << seed << ": " << zx.toString();
+  }
+}
+
+// --- oracle agreement on Table 1 pairs --------------------------------------
+//
+// A parallel manager run races the alternating scheme under two oracles; the
+// first definitive verdict wins, so the two must never disagree. Both are
+// exact, so on every Table 1 pair (each configuration: equivalent, one gate
+// missing, flipped CNOT) they must return the same verdict class — and the
+// dense baseline the same one where it applies.
+
+std::string verdictClass(const EquivalenceCriterion criterion) {
+  if (provedEquivalent(criterion)) {
+    return "EQ";
+  }
+  return criterion == EquivalenceCriterion::NotEquivalent
+             ? "NEQ"
+             : "undecided(" + toString(criterion) + ")";
+}
+
+void expectOraclesAgree(const QuantumCircuit& g, const QuantumCircuit& gPrime,
+                        const std::uint64_t errorSeed,
+                        const std::string& table) {
+  for (int kind = 0; kind < 3; ++kind) {
+    std::mt19937_64 rng(errorSeed);
+    const auto damaged = kind == 0   ? std::optional{gPrime}
+                         : kind == 1 ? circuits::removeRandomGate(gPrime, rng)
+                                     : circuits::flipRandomCnot(gPrime, rng);
+    ASSERT_TRUE(damaged.has_value()) << table << " " << g.name();
+    SCOPED_TRACE(table + " " + g.name() + " config " + std::to_string(kind));
+    Configuration config;
+    config.timeout = std::chrono::seconds(60);
+    config.oracle = OracleStrategy::Proportional;
+    const auto proportional = ddAlternatingCheck(g, *damaged, config);
+    config.oracle = OracleStrategy::Lookahead;
+    const auto lookahead = ddAlternatingCheck(g, *damaged, config);
+    const auto expected = kind == 0 ? "EQ" : "NEQ";
+    EXPECT_EQ(verdictClass(proportional.criterion), expected);
+    EXPECT_EQ(verdictClass(lookahead.criterion), expected);
+    if (alignCircuits(g, *damaged).first.numQubits() <= 10) {
+      EXPECT_EQ(verdictClass(denseCheck(g, *damaged).criterion), expected);
+    }
+  }
+}
+
+TEST(OracleAgreementTest, CompiledTable1PairsAgree) {
+  // Table 1(a): original vs. its heavy-hex compilation, at the error seeds
+  // of bench/table1_compiled (1000 + row index).
+  const auto arch = compile::Architecture::ibmManhattanLike();
+  const std::vector<std::pair<QuantumCircuit, std::uint64_t>> rows = {
+      {circuits::grover(4, 11), 1000},
+      {circuits::qft(8), 1003},
+      {circuits::quantumWalk(4, 3), 1006},
+      {circuits::randomGraphState(30, 10, 1), 1014},
+  };
+  for (const auto& [original, seed] : rows) {
+    expectOraclesAgree(original,
+                       compile::compileForArchitecture(original, arch), seed,
+                       "table1a");
+  }
+}
+
+TEST(OracleAgreementTest, OptimizedTable1PairsAgree) {
+  // Table 1(b): decomposed vs. optimized, at bench/table1_optimized's error
+  // seeds (2000 + row index); every pair is small enough for the dense check.
+  const std::vector<std::pair<QuantumCircuit, std::uint64_t>> rows = {
+      {circuits::grover(4, 11), 2003},
+      {circuits::qft(8), 2006},
+      {circuits::quantumWalk(4, 3), 2009},
+  };
+  for (const auto& [original, seed] : rows) {
+    const auto decomposed = compile::decomposeToCnot(original);
+    expectOraclesAgree(decomposed, opt::optimize(decomposed), seed,
+                       "table1b");
   }
 }
 
@@ -280,8 +360,12 @@ TEST(ManagerCancellationTest, SiblingVerdictRecordsCancelledSlot) {
   const auto combined = manager.run();
   EXPECT_TRUE(provedEquivalent(combined.criterion)) << combined.toString();
   const auto& slots = manager.engineResults();
-  ASSERT_EQ(slots.size(), 2U);
-  EXPECT_TRUE(isDefinitive(slots[0].criterion)) << slots[0].toString();
+  // Proportional alternating, simulation, raced lookahead alternating:
+  // either alternating slot may prove it first.
+  ASSERT_EQ(slots.size(), 3U);
+  EXPECT_TRUE(isDefinitive(slots[0].criterion) ||
+              isDefinitive(slots[2].criterion))
+      << slots[0].toString() << "\n" << slots[2].toString();
   EXPECT_NE(slots[1].criterion, EquivalenceCriterion::Timeout)
       << slots[1].toString();
   // The slot either got cancelled mid-flight or — on a very fast machine —

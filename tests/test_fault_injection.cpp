@@ -367,6 +367,40 @@ TEST(DegradationLadderTest, AlternatingFallsBackToSimulation) {
   EXPECT_EQ(combined.criterion, EquivalenceCriterion::ProbablyEquivalent);
 }
 
+TEST(DegradationLadderTest, RacedLookaheadSlotSkipsSimFallback) {
+  // A parallel alternating-only run races a lookahead slot beside the
+  // proportional one. A persistent DD fault fails every attempt of both, so
+  // each walks its whole ladder: the proportional slot ends in the
+  // simulation fallback, the raced slot stays alternating (its fallback
+  // would only duplicate the simulation slot of a default run) and retries.
+  Configuration config;
+  config.runSimulation = false;
+  config.parallel = true;
+  config.faultPlan = "dd.gc:times=0:throw=resource_limit";
+  config.engineRetryLimit = 2;
+  EquivalenceCheckingManager manager(circuits::ghz(3), circuits::ghz(3),
+                                     config);
+  const auto combined = manager.run();
+  EXPECT_EQ(combined.criterion, EquivalenceCriterion::ResourceExhausted);
+  ASSERT_EQ(manager.engineResults().size(), 2U);
+  const auto& proportional = manager.engineResults()[0];
+  ASSERT_EQ(proportional.attempts.size(), 3U);
+  EXPECT_EQ(proportional.attempts[2].degradation, "sim-fallback");
+  const auto& raced = manager.engineResults()[1];
+  ASSERT_EQ(raced.attempts.size(), 3U);
+  const char* rungs[] = {"", "gc-tight", "retry"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(raced.attempts[i].attempt, i);
+    EXPECT_EQ(raced.attempts[i].engine, "dd-alternating(lookahead)");
+    EXPECT_EQ(raced.attempts[i].degradation, rungs[i]);
+    EXPECT_EQ(raced.attempts[i].criterion, "resource_exhausted");
+  }
+  EXPECT_EQ(raced.degradation, "retry");
+  EXPECT_EQ(combined.attempts.size(), 6U);
+  const auto report = buildRunReport(manager, combined, config);
+  EXPECT_TRUE(validateRunReport(report).empty());
+}
+
 TEST(DegradationLadderTest, RetryBudgetBoundsTheLadder) {
   auto config = alternatingOnly();
   config.faultPlan = "dd.gc:times=0:throw=resource_limit";

@@ -186,6 +186,47 @@ TEST(ThreadingStressTest, RegionParallelZXUnderParallelManager) {
   }
 }
 
+TEST(ThreadingStressTest, RacedOraclesShareOneWarmSnapshot) {
+  // The three-slot race: proportional alternating, simulation and the
+  // raced lookahead alternating slot. Both alternating packages adopt one
+  // immutable warm gate snapshot concurrently and import from it; the first
+  // definitive verdict's release store must cancel both siblings (the
+  // simulation slot faces far more runs than it can finish).
+  const auto a = circuits::qft(6);
+  const auto b = circuits::qft(6);
+  dd::SharedGateCache cache;
+  dd::Package donor(a.numQubits(), dd::RealTable::kDefaultTolerance);
+  for (const auto& op : a.ops()) {
+    (void)donor.makeOperationDD(op);
+  }
+  ASSERT_EQ(cache.publish(donor), 1U);
+  auto config = stressConfig();
+  config.simulationThreads = 1;
+  config.simulationRuns = 100000;
+  config.warmGateSource =
+      cache.acquire(a.numQubits(), dd::RealTable::kDefaultTolerance);
+  ASSERT_NE(config.warmGateSource, nullptr);
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    check::EquivalenceCheckingManager manager(a, b, config);
+    const auto result = manager.run();
+    EXPECT_TRUE(provedEquivalent(result.criterion)) << result.toString();
+    const auto& slots = manager.engineResults();
+    ASSERT_EQ(slots.size(), 3U);
+    EXPECT_EQ(slots[2].method, "dd-alternating(lookahead)");
+    EXPECT_EQ(slots[1].criterion, check::EquivalenceCriterion::Cancelled)
+        << slots[1].toString();
+    double warmHits = 0.0;
+    for (const std::size_t i : {0U, 2U}) {
+      // An alternating slot either decided or was cancelled by its sibling.
+      EXPECT_TRUE(provedEquivalent(slots[i].criterion) ||
+                  slots[i].criterion == check::EquivalenceCriterion::Cancelled)
+          << slots[i].toString();
+      warmHits += slots[i].counters.value("dd.gate_cache.warm_hits");
+    }
+    EXPECT_GT(warmHits, 0.0);
+  }
+}
+
 TEST(ThreadingStressTest, SharedGateCacheEpochChurn) {
   // Epoch-leasing contract of dd::SharedGateCache under churn: publishers
   // keep replacing the shape's snapshot (new epoch each time), a retirer
