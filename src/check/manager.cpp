@@ -82,8 +82,8 @@ std::string engineName(const EngineKind kind, const Configuration& config) {
 
 /// Walk one rung down the degradation ladder for a failed slot, mutating its
 /// configuration (and possibly its kind) in place. Rungs, first-applicable:
-///  - "single-thread": drop every intra-check parallelism knob to 1 — the
-///    retry avoids worker-pool and region machinery entirely.
+///  - "single-thread": run the stimuli on one thread — the retry avoids the
+///    simulation worker pool entirely.
 ///  - "gc-tight" (DD engines): collect eagerly from a small threshold and
 ///    halve a finite node budget — trades throughput for a tight memory
 ///    band, the right response to bad_alloc/budget failures.
@@ -95,11 +95,8 @@ std::string engineName(const EngineKind kind, const Configuration& config) {
 ///    have been transient, e.g. a bounded injected fault).
 std::string degradeStep(EngineKind& kind, Configuration& config,
                         const bool simFallback) {
-  if (config.checkThreads != 1 || config.simulationThreads != 1 ||
-      config.zxParallelRegions != 1) {
-    config.checkThreads = 1;
+  if (config.simulationThreads != 1) {
     config.simulationThreads = 1;
-    config.zxParallelRegions = 1;
     return "single-thread";
   }
   const bool ddEngine =

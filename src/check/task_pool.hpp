@@ -1,9 +1,8 @@
 /// \file task_pool.hpp
-/// \brief Shared work-stealing task pool for intra-check parallelism.
+/// \brief Shared work-stealing task pool for the checker layer.
 ///
 /// One pool serves every parallel path of the checker layer: the manager's
-/// concurrent engines, the random-stimuli worker pool, the sharded
-/// alternating scheme and the region-parallel ZX reduction. Each execution
+/// concurrent engines and the random-stimuli worker pool. Each execution
 /// slot (the calling thread plus `slots - 1` spawned workers) owns a deque;
 /// submission round-robins across the deques, an idle slot steals from the
 /// back of a victim's deque, and the submitting thread itself executes tasks

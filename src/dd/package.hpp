@@ -222,10 +222,9 @@ public:
 
   /// Deep-copy a matrix diagram owned by another package into this one,
   /// re-canonicalizing every node through this package's unique tables
-  /// (shared subdiagrams stay shared via a source-handle memo). This is the
-  /// hand-over point of the sharded checkers: worker threads build partial
-  /// products in private packages, then the combining thread imports them.
-  /// `src` is only read; the caller must guarantee no operation runs on it
+  /// (shared subdiagrams stay shared via a source-handle memo). This is how
+  /// a package adopts gate DDs from a warm gate source (see below). `src` is
+  /// only read; the caller must guarantee no operation runs on it
   /// concurrently.
   mEdge importMatrix(const Package& src, const mEdge& e);
 

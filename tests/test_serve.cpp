@@ -168,7 +168,7 @@ TEST(JobParseTest, AppliesEveryWhitelistedConfigKey) {
   const auto parsed = parseJobLine(
       jobLine("j", "a", "b",
               R"({"timeoutMilliseconds":1500,"simulationRuns":3,)"
-              R"("checkThreads":2,"seed":9,"runAlternating":true,)"
+              R"("simulationThreads":2,"seed":9,"runAlternating":true,)"
               R"("runSimulation":false,"runZX":true,"runDense":false,)"
               R"("parallel":false,"maxDDNodes":1000,"maxMemoryMB":64,)"
               R"("recordTrace":true,"oracle":"lookahead"})"),
@@ -177,7 +177,7 @@ TEST(JobParseTest, AppliesEveryWhitelistedConfigKey) {
   const auto& c = parsed.request.config;
   EXPECT_EQ(c.timeout, std::chrono::milliseconds(1500));
   EXPECT_EQ(c.simulationRuns, 3U);
-  EXPECT_EQ(c.checkThreads, 2U);
+  EXPECT_EQ(c.simulationThreads, 2U);
   EXPECT_EQ(c.seed, 9U);
   EXPECT_TRUE(c.runAlternating);
   EXPECT_FALSE(c.runSimulation);
@@ -221,6 +221,21 @@ TEST(JobParseTest, TortureLinesAllRejectStructurally) {
     EXPECT_EQ(parsed.reason, RejectReason::MalformedRequest) << line;
     EXPECT_NE(parsed.detail.find(expectedDetail), std::string::npos)
         << line << " -> " << parsed.detail;
+  }
+}
+
+TEST(JobParseTest, RetiredParallelismKeysAreRejected) {
+  // The sharded alternating check and the ZX region pre-pass are gone; a
+  // client still sending their keys is told so instead of being ignored.
+  const check::Configuration defaults;
+  for (const char* key : {"checkThreads", "zxParallelRegions"}) {
+    const auto parsed = parseJobLine(
+        jobLine("j", "a", "b", std::string("{\"") + key + "\":1}"),
+        defaults);
+    EXPECT_EQ(parsed.reason, RejectReason::MalformedRequest) << key;
+    EXPECT_EQ(parsed.detail,
+              std::string("config.") + key + ": unknown configuration key")
+        << parsed.detail;
   }
 }
 
