@@ -5,7 +5,7 @@
 /// Usage: check_qasm <a.qasm> <b.qasm> [--method dd|zx|both]
 ///                   [--timeout <seconds>] [--sims <n>]
 ///                   [--json <path>] [--trace]
-///                   [--retries <n>] [--watchdog-ms <n>]
+///                   [--retries <n>]
 ///                   [--fault-plan <plan>]
 ///        check_qasm --validate-report <path>
 ///
@@ -28,7 +28,7 @@ void usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s <a.qasm> <b.qasm> [--method dd|zx|both] "
                "[--timeout <seconds>] [--sims <n>] [--json <path>] "
-               "[--trace] [--retries <n>] [--watchdog-ms <n>] "
+               "[--trace] [--retries <n>] "
                "[--fault-plan <plan>]\n"
                "       %s --validate-report <path>\n",
                prog, prog);
@@ -92,8 +92,6 @@ int main(int argc, char** argv) {
       config.recordTrace = true;
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
       config.engineRetryLimit = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0 && i + 1 < argc) {
-      config.watchdogMillis = static_cast<std::size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
       config.faultPlan = argv[++i];
     } else {

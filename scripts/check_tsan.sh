@@ -8,16 +8,18 @@
 # tests/test_task_pool.cpp drives the work-stealing pool's queue/steal/sleep
 # handshakes, cancellation and exception containment directly.
 # tests/test_fault_injection.cpp adds the degradation-ladder retry rounds,
-# the soft watchdog's heartbeat/trip handshake and fault-poisoned task
-# groups, all of which cross thread boundaries. tests/test_serve.cpp runs
+# fault-poisoned task groups and simulation workers unwinding a stop from
+# inside their DD kernels, all of which cross thread boundaries. tests/test_serve.cpp runs
 # the veriqcd JobService: concurrent submitting clients, the shared warm
 # gate-cache's epoch publish/lease handshake, shutdown cancelling in-flight
 # jobs, and racing shutdown() callers (the double-join regression). The
 # SharedGateCacheEpochChurn stress (publishers/readers/retirer hammering one
 # cache while leases stay live) and the EnqueueWakesASleepingWorker missed-
 # wakeup regression run here too, as do the manager's raced-lookahead slot
-# tests of tests/test_check.cpp (private and injected pools). Any TSan
-# report fails the run.
+# tests of tests/test_check.cpp (private and injected pools), and the
+# parallel manager's deadline-latency test of tests/test_cross_paradigm.cpp
+# (four racing slots stopped by one shared token). Any TSan report fails
+# the run.
 #
 # Usage: scripts/check_tsan.sh [ctest-regex]
 #   ctest-regex: optional -R filter (default: all thread-stress suites)
@@ -28,9 +30,9 @@ cd "$(dirname "$0")/.."
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j"$(nproc)" \
   --target test_threading test_task_pool test_fault_injection test_serve \
-  test_check >/dev/null
+  test_check test_cross_paradigm >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|WatchdogTest|ImportFaultTest|JobServiceTest|LookaheadRaceTest}"
+  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|StopUnwindTest|ImportFaultTest|JobServiceTest|LookaheadRaceTest|DeadlineLatencyTest.ParallelManagerStopsWithinTheBound}"

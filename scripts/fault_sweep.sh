@@ -5,7 +5,8 @@
 # count-based and probabilistic plans — and asserts the failure-containment
 # contract: no crash, no leak, and never a wrong definitive verdict on a
 # known-equivalent pair. It then runs the dedicated fault test suite under
-# the same sanitizers.
+# the same sanitizers, including the stop-unwind cases (StopRequested thrown
+# from inside a multiply, the package kept or dropped).
 #
 # Exit-code contract per sweep case (inputs are equivalent by construction):
 #   0 = equivalent            OK (fault absorbed or retried away)
@@ -111,7 +112,7 @@ for case in "${cases[@]}"; do
   IFS='|' read -r label circuit method plan allowed firing <<< "$case"
   set +e
   VERIQC_FAULT="$plan" "$bin" "$workdir/$circuit.qasm" "$workdir/$circuit.qasm" \
-    --method "$method" --retries 2 --watchdog-ms 30000 --sims 4 --timeout 60 \
+    --method "$method" --retries 2 --sims 4 --timeout 60 \
     --json "$workdir/$label.json" \
     > "$workdir/$label.log" 2>&1
   rc=$?

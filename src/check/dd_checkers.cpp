@@ -24,17 +24,25 @@ double secondsSince(const Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Poll the stop token inside tight gate loops only every this many
-/// iterations — cheap enough to keep deadlines honest on huge gate groups
-/// without a per-gate std::function call.
-constexpr std::size_t kStopPollStride = 16;
-
 /// The engine's own view of the configured deadline, measured from its own
 /// start. Tracking it locally lets an early stop be attributed correctly.
 Clock::time_point localDeadline(const Configuration& config,
                                 const Clock::time_point start) {
   return config.timeout.count() > 0 ? start + config.timeout
                                     : Clock::time_point::max();
+}
+
+/// The stop predicate an engine hands to its packages: the caller's token
+/// or the engine's own deadline, whichever trips first. Empty when there is
+/// neither, so an unbounded standalone run never polls at all.
+StopToken stopOrDeadline(const StopToken& stop,
+                         const Clock::time_point deadline) {
+  if (deadline == Clock::time_point::max()) {
+    return stop;
+  }
+  return [stop, deadline] {
+    return (stop && stop()) || Clock::now() >= deadline;
+  };
 }
 
 /// Attribute an early stop (the discipline zxCheck established in PR 2):
@@ -57,9 +65,12 @@ void recordCacheStats(const dd::Package& package, Result& result) {
 
 /// Package sizing/budget knobs derived from the checker configuration: the
 /// resource governor's DD-node and memory budgets apply to every package an
-/// engine creates.
-dd::PackageConfig packageConfigFor(const Configuration& config) {
+/// engine creates, and so does the engine's stop predicate — the one place
+/// a DD engine polls for a stop.
+dd::PackageConfig packageConfigFor(const Configuration& config,
+                                   StopToken stop) {
   dd::PackageConfig packageConfig;
+  packageConfig.stop = std::move(stop);
   packageConfig.maxNodes = config.maxDDNodes;
   packageConfig.maxMemoryMB = config.maxMemoryMB;
   if (config.aggressiveGC) {
@@ -247,17 +258,28 @@ Result resourceExhausted(Result result, const dd::Package& package,
 } // namespace
 
 Result denseCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
-                  const Configuration& config, const std::size_t maxQubits) {
+                  const Configuration& config, const std::size_t maxQubits,
+                  const StopToken& stop) {
   const auto start = Clock::now();
+  const auto deadline = localDeadline(config, start);
   Result result;
   result.method = "dense";
   const auto [a, b] = alignCircuits(c1, c2);
   if (a.numQubits() > maxQubits) {
     throw CircuitError("denseCheck: circuit too large for dense comparison");
   }
-  const auto ua = sim::circuitUnitary(a);
-  const auto ub = sim::circuitUnitary(b);
-  const auto overlap = ua.adjoint().multiply(ub).trace();
+  sim::Matrix ua;
+  sim::Matrix ub;
+  try {
+    const auto shouldStop = stopOrDeadline(stop, deadline);
+    ua = sim::circuitUnitary(a, shouldStop);
+    ub = sim::circuitUnitary(b, shouldStop);
+  } catch (const StopRequested&) {
+    result.criterion = stopAttribution(deadline);
+    result.runtimeSeconds = secondsSince(start);
+    return result;
+  }
+  const auto overlap = ua.overlap(ub);
   const auto dim = static_cast<double>(std::size_t{1} << a.numQubits());
   result.hilbertSchmidtFidelity = std::abs(overlap) / dim;
   if (ua.equals(ub, config.checkTolerance)) {
@@ -279,7 +301,7 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   result.method = "dd-construction";
   const auto [a, b] = prepare(c1, c2, config);
   dd::Package package(a.numQubits(), config.numericalTolerance,
-                      packageConfigFor(config));
+                      packageConfigFor(config, stopOrDeadline(stop, deadline)));
   adoptWarmSource(package, config);
   audit::DDCheckpoint checkpoint(config.auditLevel,
                                  "dd-construction checkpoint");
@@ -287,7 +309,7 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   // `pinned` carries edges the engine keeps referenced outside the
   // accumulator (the finished first diagram while the second one builds), so
   // the audit's refcount recount sees every external root.
-  const auto build = [&](const QuantumCircuit& circuit, bool& aborted,
+  const auto build = [&](const QuantumCircuit& circuit,
                          const dd::mEdge* pinned) -> dd::mEdge {
     const auto explicitCircuit = circuit.withExplicitPermutations();
     Accumulator acc(package);
@@ -295,11 +317,9 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
       if (op.isNonUnitary()) {
         continue;
       }
-      if (stop && stop()) {
-        aborted = true;
-        break;
-      }
       acc.applyLeft(package.makeOperationDD(op));
+      // Updated per gate so a stop mid-build still reports the peak so far.
+      result.peakNodes = std::max(result.peakNodes, acc.peak());
       if (checkpoint.enabled()) {
         std::vector<dd::mEdge> roots{acc.edge()};
         if (pinned != nullptr) {
@@ -308,8 +328,7 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
         checkpoint.postGate(package, roots);
       }
     }
-    result.peakNodes = std::max(result.peakNodes, acc.peak());
-    if (explicitCircuit.globalPhase() != 0.0 && !aborted) {
+    if (explicitCircuit.globalPhase() != 0.0) {
       const auto& e = acc.edge();
       acc.replace({e.n, e.w * std::exp(std::complex<double>{
                              0.0, explicitCircuit.globalPhase()})});
@@ -318,18 +337,11 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   };
 
   try {
-    bool aborted = false;
-    const auto e1 = build(a, aborted, nullptr);
-    const auto e2 = aborted ? package.makeIdent() : build(b, aborted, &e1);
-    if (!aborted && checkpoint.enabled()) {
+    const auto e1 = build(a, nullptr);
+    const auto e2 = build(b, &e1);
+    if (checkpoint.enabled()) {
       const std::array roots{e1, e2};
       checkpoint.boundary(package, roots);
-    }
-    if (aborted) {
-      result.criterion = stopAttribution(deadline);
-      recordCacheStats(package, result);
-      result.runtimeSeconds = secondsSince(start);
-      return result;
     }
     // Canonicity: equal functionality implies equal root nodes.
     if (e1.n == e2.n) {
@@ -351,6 +363,8 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
                              ? EquivalenceCriterion::EquivalentUpToGlobalPhase
                              : EquivalenceCriterion::NotEquivalent;
     }
+  } catch (const StopRequested&) {
+    result.criterion = stopAttribution(deadline);
   } catch (const ResourceLimitError& e) {
     return resourceExhausted(std::move(result), package, e, start);
   }
@@ -367,7 +381,7 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   result.method = "dd-alternating(" + toString(config.oracle) + ")";
   const auto [a, b] = prepare(c1, c2, config);
   dd::Package package(a.numQubits(), config.numericalTolerance,
-                      packageConfigFor(config));
+                      packageConfigFor(config, stopOrDeadline(stop, deadline)));
   adoptWarmSource(package, config);
 
   TaskSide right(a, /*invert=*/true); // G^dagger, multiplied from the right
@@ -384,8 +398,6 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
     }
   };
 
-  const auto stopped = [&]() { return stop && stop(); };
-
   try {
     // Gate-application loop driven by the configured oracle.
     while (true) {
@@ -393,16 +405,6 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
       const bool rightPending = right.absorbSwaps();
       if (!leftPending && !rightPending) {
         break;
-      }
-      if (stopped()) {
-        result.criterion = stopAttribution(deadline);
-        recordCacheStats(package, result);
-        result.runtimeSeconds = secondsSince(start);
-        result.peakNodes = acc.peak();
-        // Keep the truncated size trajectory: a partial Fig. 4 curve is
-        // exactly what one wants to see from an aborted run.
-        result.sizeTrace = acc.takeTrace();
-        return result;
       }
       if (!leftPending) {
         acc.applyRight(right.takeGateDD(package));
@@ -481,6 +483,11 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
     }
 
     result.criterion = classify(package, acc.edge(), config, result);
+  } catch (const StopRequested&) {
+    // Falls through to the normal record: the truncated size trajectory is
+    // kept, since a partial Fig. 4 curve is exactly what one wants to see
+    // from an aborted run.
+    result.criterion = stopAttribution(deadline);
   } catch (const ResourceLimitError& e) {
     // The diagram outgrew its budget mid-check: degrade to a cooperative
     // abort so a sibling engine's verdict can still decide the question.
@@ -521,8 +528,9 @@ Result ddCompilationFlowCheck(const QuantumCircuit& original,
   Configuration flowConfig = config;
   flowConfig.reconstructSwaps = false; // counts refer to the raw gate lists
   const auto [a, b] = alignCircuits(original, compiled);
-  dd::Package package(a.numQubits(), flowConfig.numericalTolerance,
-                      packageConfigFor(flowConfig));
+  dd::Package package(
+      a.numQubits(), flowConfig.numericalTolerance,
+      packageConfigFor(flowConfig, stopOrDeadline(stop, deadline)));
   adoptWarmSource(package, flowConfig);
   TaskSide right(a, /*invert=*/true);
   TaskSide left(b, /*invert=*/false);
@@ -536,31 +544,9 @@ Result ddCompilationFlowCheck(const QuantumCircuit& original,
     }
   };
 
-  // Fill the result record for an early abort, attributing the stop to the
-  // local deadline (Timeout) or a sibling's verdict (Cancelled) and keeping
-  // the truncated size trace.
-  const auto stoppedResult = [&]() -> Result {
-    result.criterion = stopAttribution(deadline);
-    recordCacheStats(package, result);
-    result.runtimeSeconds = secondsSince(start);
-    result.peakNodes = acc.peak();
-    result.sizeTrace = acc.takeTrace();
-    return result;
-  };
-
   try {
     for (const auto count : expansionCounts) {
-      if (stop && stop()) {
-        return stoppedResult();
-      }
       for (std::size_t i = 0; i < count; ++i) {
-        // A single original gate can expand into arbitrarily many compiled
-        // gates (SWAP chains from routing), so the deadline must also be
-        // polled inside the group — throttled, to keep the common small
-        // groups free of per-gate token calls.
-        if (i % kStopPollStride == kStopPollStride - 1 && stop && stop()) {
-          return stoppedResult();
-        }
         if (left.absorbSwaps()) {
           acc.applyLeft(left.takeGateDD(package));
           auditGate();
@@ -571,17 +557,11 @@ Result ddCompilationFlowCheck(const QuantumCircuit& original,
         auditGate();
       }
     }
-    for (std::size_t i = 0; left.absorbSwaps(); ++i) {
-      if (i % kStopPollStride == kStopPollStride - 1 && stop && stop()) {
-        return stoppedResult();
-      }
+    while (left.absorbSwaps()) {
       acc.applyLeft(left.takeGateDD(package));
       auditGate();
     }
-    for (std::size_t i = 0; right.absorbSwaps(); ++i) {
-      if (i % kStopPollStride == kStopPollStride - 1 && stop && stop()) {
-        return stoppedResult();
-      }
+    while (right.absorbSwaps()) {
       acc.applyRight(right.takeGateDD(package));
       auditGate();
     }
@@ -605,6 +585,8 @@ Result ddCompilationFlowCheck(const QuantumCircuit& original,
       checkpoint.boundary(package, roots);
     }
     result.criterion = classify(package, acc.edge(), flowConfig, result);
+  } catch (const StopRequested&) {
+    result.criterion = stopAttribution(deadline);
   } catch (const ResourceLimitError& e) {
     result.peakNodes = acc.peak();
     result.sizeTrace = acc.takeTrace();
@@ -652,86 +634,89 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   std::string resourceLimitMessage;
   std::exception_ptr workerError;
 
+  const auto shouldStop = stopOrDeadline(stop, deadline);
   const auto workerFn = [&]() {
     try {
+      // The stimulus being simulated: the package also gives up on it once
+      // a smaller stimulus has proved non-equivalence.
+      std::size_t run = 0;
       // The DD package is documented single-threaded: one per worker.
-      dd::Package package(a.numQubits(), config.numericalTolerance,
-                          packageConfigFor(config));
+      dd::Package package(
+          a.numQubits(), config.numericalTolerance,
+          packageConfigFor(config, [&shouldStop, &failIndex, &run] {
+            return failIndex.load(std::memory_order_relaxed) < run ||
+                   (shouldStop && shouldStop());
+          }));
       adoptWarmSource(package, config);
       // Per-worker checkpoint: packages are thread-local, so the audit walks
       // only structures owned by this thread.
       audit::DDCheckpoint checkpoint(config.auditLevel,
                                      "dd-simulation checkpoint");
-      while (true) {
-        // Poll the stop token *before* claiming an index: a cancelled worker
-        // that claims first burns the index — it is counted out of `runs`
-        // but never simulated, so the performed-run accounting drifts.
-        if (stop && stop()) {
-          sawStop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        const std::size_t run =
-            nextRun.fetch_add(1, std::memory_order_relaxed);
-        if (run >= runs ||
-            run > failIndex.load(std::memory_order_relaxed)) {
-          break;
-        }
-        claimed.fetch_add(1, std::memory_order_relaxed);
-        // Abort mid-simulation on external stop or once an earlier stimulus
-        // already proved non-equivalence.
-        const auto localStop = [&stop, &failIndex, run]() {
-          return (stop && stop()) ||
-                 failIndex.load(std::memory_order_relaxed) < run;
-        };
-        std::mt19937_64 rng(stimulusSeed(config.seed, run));
-        const auto stimulus =
-            sim::generateStimulus(config.stimuliKind, a.numQubits(), rng);
-        const auto input =
-            sim::simulate(package, stimulus, package.makeZeroState(), localStop);
-        const auto out1 = sim::simulate(package, a, input, localStop);
-        const auto out2 = sim::simulate(package, b, input, localStop);
-        const bool abortedExternal = stop && stop();
-        const bool abortedLocal =
-            failIndex.load(std::memory_order_relaxed) < run;
-        if (!abortedExternal && !abortedLocal && checkpoint.enabled()) {
-          // The three state vectors are the only externally referenced
-          // edges at this point (matrix gate DDs live in the gate cache,
-          // which the audit treats as an internal root).
-          const std::array vectorRoots{input, out1, out2};
-          checkpoint.postGate(package, {}, vectorRoots);
-        }
-        const double fidelity = (abortedExternal || abortedLocal)
-                                    ? 1.0
-                                    : package.fidelity(out1, out2);
-        package.decRef(input);
-        package.decRef(out1);
-        package.decRef(out2);
-        package.garbageCollect();
-        if (abortedExternal) {
-          sawStop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        if (abortedLocal) {
-          continue; // moot: a smaller counterexample exists
-        }
-        performed.fetch_add(1, std::memory_order_relaxed);
-        const auto stats = package.stats();
-        {
-          const support::LockGuard lock(resultMutex);
-          peakNodes =
-              std::max(peakNodes, stats.matrixNodes + stats.vectorNodes);
-        }
-        if (std::abs(fidelity - 1.0) > config.checkTolerance) {
-          std::size_t expected = failIndex.load(std::memory_order_relaxed);
-          while (run < expected &&
-                 !failIndex.compare_exchange_weak(expected, run,
-                                                  std::memory_order_relaxed)) {
+      bool unwound = false;
+      try {
+        while (true) {
+          // Poll the stop token *before* claiming an index: a cancelled
+          // worker that claims first burns the index — it is counted out of
+          // `runs` but never simulated, so the performed-run accounting
+          // drifts.
+          if (shouldStop && shouldStop()) {
+            sawStop.store(true, std::memory_order_relaxed);
+            break;
+          }
+          run = nextRun.fetch_add(1, std::memory_order_relaxed);
+          if (run >= runs ||
+              run > failIndex.load(std::memory_order_relaxed)) {
+            break;
+          }
+          claimed.fetch_add(1, std::memory_order_relaxed);
+          std::mt19937_64 rng(stimulusSeed(config.seed, run));
+          const auto stimulus =
+              sim::generateStimulus(config.stimuliKind, a.numQubits(), rng);
+          const auto input =
+              sim::simulate(package, stimulus, package.makeZeroState());
+          const auto out1 = sim::simulate(package, a, input);
+          const auto out2 = sim::simulate(package, b, input);
+          if (checkpoint.enabled()) {
+            // The three state vectors are the only externally referenced
+            // edges at this point (matrix gate DDs live in the gate cache,
+            // which the audit treats as an internal root).
+            const std::array vectorRoots{input, out1, out2};
+            checkpoint.postGate(package, {}, vectorRoots);
+          }
+          const double fidelity = package.fidelity(out1, out2);
+          package.decRef(input);
+          package.decRef(out1);
+          package.decRef(out2);
+          package.garbageCollect();
+          performed.fetch_add(1, std::memory_order_relaxed);
+          const auto stats = package.stats();
+          {
+            const support::LockGuard lock(resultMutex);
+            peakNodes =
+                std::max(peakNodes, stats.matrixNodes + stats.vectorNodes);
+          }
+          if (std::abs(fidelity - 1.0) > config.checkTolerance) {
+            std::size_t expected = failIndex.load(std::memory_order_relaxed);
+            while (run < expected &&
+                   !failIndex.compare_exchange_weak(
+                       expected, run, std::memory_order_relaxed)) {
+            }
           }
         }
+      } catch (const StopRequested&) {
+        // Either the stop tripped, or a smaller stimulus failed and every
+        // later claim would be moot too: this worker is done either way.
+        if (failIndex.load(std::memory_order_relaxed) >= run) {
+          sawStop.store(true, std::memory_order_relaxed);
+        }
+        unwound = true;
       }
       // Quiescent point: every state vector has been decRef'ed, so the
-      // recount expects no external roots at all.
-      checkpoint.boundary(package);
+      // recount expects no external roots — unless an unwound simulate()
+      // stranded its referenced states; that package is dropped unaudited.
+      if (!unwound) {
+        checkpoint.boundary(package);
+      }
       const support::LockGuard lock(resultMutex);
       recordCacheStats(package, result);
     } catch (const ResourceLimitError& e) {

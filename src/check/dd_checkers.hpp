@@ -11,17 +11,23 @@
 
 namespace veriqc::check {
 
-/// Callback polled between gate applications; return true to abort.
+/// Cooperative stop request; return true to abort. Every engine stops when
+/// it trips or when its own `config.timeout` (measured from the engine's
+/// start) passes, and reports Timeout past that deadline, Cancelled before
+/// it. The DD engines hand both to their packages, which poll inside
+/// multiply/add (PackageConfig::stop), so a stop lands mid-operation.
 using StopToken = std::function<bool()>;
 
 /// Brute-force baseline: build both dense 2^n x 2^n unitaries and compare
 /// them entry-wise / via the Hilbert-Schmidt criterion. Only for small
 /// circuits (n <= 12); used as a ground-truth oracle in tests and ablations.
+/// The stop is polled once per unitary column.
 /// \throws CircuitError when the aligned circuits exceed `maxQubits`.
 [[nodiscard]] Result denseCheck(const QuantumCircuit& c1,
                                 const QuantumCircuit& c2,
                                 const Configuration& config = {},
-                                std::size_t maxQubits = 12);
+                                std::size_t maxQubits = 12,
+                                const StopToken& stop = {});
 
 /// Reference method: build both system-matrix DDs completely and compare
 /// them (canonicity makes this a pointer comparison). Exponential in the

@@ -2,7 +2,6 @@
 
 #include "check/report.hpp"
 #include "check/task_pool.hpp"
-#include "check/watchdog.hpp"
 #include "dd/package.hpp"
 #include "fault/fault.hpp"
 
@@ -122,6 +121,8 @@ std::string degradeStep(EngineKind& kind, Configuration& config,
 /// ResourceExhausted (a budget did its job) before EngineError (a genuine
 /// fault). The combined record also lists which engines ran out of budget,
 /// so graceful degradation stays visible even when a sibling's verdict wins.
+/// Its counters start empty: engine counters stay on their slots, so report
+/// and veriqcd totals count each engine once.
 Result combine(const std::vector<Result>& results, const double elapsed) {
   const Result* best = nullptr;
   for (const auto& r : results) {
@@ -169,6 +170,7 @@ Result combine(const std::vector<Result>& results, const double elapsed) {
     best = &results.front();
   }
   Result combined = best != nullptr ? *best : Result{};
+  combined.counters = obs::CounterRegistry{};
   for (const auto& r : results) {
     if (r.criterion == EquivalenceCriterion::ResourceExhausted) {
       combined.resourceLimitedEngines.push_back(r.method);
@@ -265,31 +267,14 @@ Result EquivalenceCheckingManager::run() {
     engineResults_[i].method = engineName(slotKind[i], slotConfig[i]);
   }
 
-  // Soft watchdog: heartbeats flow through the per-slot stop tokens; a slot
-  // silent past the budget trips the shared cancel flag, so the run ends in
-  // bounded time (siblings wind down as Cancelled — the trip precedes the
-  // deadline, so stop attribution never mislabels it Timeout).
-  std::unique_ptr<SoftWatchdog> watchdog;
-  if (config_.watchdogMillis > 0) {
-    watchdog = std::make_unique<SoftWatchdog>(
-        n, std::chrono::milliseconds(config_.watchdogMillis),
-        [&cancel](std::size_t /*slot*/) {
-          cancel.store(true, std::memory_order_release);
-        });
-  }
-  // Acquire pairs with the release store of a winning engine (or the
-  // watchdog), so an engine that observes the flag also observes everything
-  // written before it was raised (the winner's result slot in particular).
-  const auto stopFor = [this, &cancel, deadline,
-                        wd = watchdog.get()](const std::size_t slot) {
-    return StopToken([this, &cancel, deadline, wd, slot] {
-      if (wd != nullptr) {
-        wd->beat(slot);
-      }
-      return cancel.load(std::memory_order_acquire) ||
-             externalCancel_.load(std::memory_order_acquire) ||
-             Clock::now() >= deadline;
-    });
+  // The one stop token of the run, shared by every slot. Acquire pairs with
+  // the release store of a winning engine, so an engine that observes the
+  // flag also observes everything written before it was raised (the
+  // winner's result slot in particular).
+  const StopToken stop = [this, &cancel, deadline] {
+    return cancel.load(std::memory_order_acquire) ||
+           externalCancel_.load(std::memory_order_acquire) ||
+           Clock::now() >= deadline;
   };
 
   // One attempt of one slot; runs on the manager thread (sequential path)
@@ -304,13 +289,6 @@ Result EquivalenceCheckingManager::run() {
     // PhaseTimer is internally synchronized, so concurrent engine spans may
     // be opened from worker threads directly.
     auto span = phases.scope(spanName);
-    const auto stop = stopFor(i);
-    // The dense baseline takes no stop token and thus emits no heartbeats;
-    // leaving its slot inactive keeps the watchdog from tripping on it.
-    const bool monitored = watchdog != nullptr && slotKind[i] != EngineKind::Dense;
-    if (monitored) {
-      watchdog->beginSlot(i);
-    }
     auto result = runGuarded(
         [this, &stop, i, &slotKind, &slotConfig]() -> Result {
           const auto& cfg = slotConfig[i];
@@ -325,13 +303,20 @@ Result EquivalenceCheckingManager::run() {
             // Brute-force cross-check; throws CircuitError past
             // denseMaxQubits, which the firewall turns into an EngineError
             // slot rather than a crash.
-            return denseCheck(c1_, c2_, cfg, cfg.denseMaxQubits);
+            return denseCheck(c1_, c2_, cfg, cfg.denseMaxQubits, stop);
           }
           throw std::logic_error("unknown engine kind");
         },
         name);
-    if (monitored) {
-      watchdog->endSlot(i);
+    // An engine attributes a stop against its own deadline, which starts
+    // with the engine and so lags the run's (by a whole attempt on a
+    // retry). A stop with no sibling verdict and no external cancel behind
+    // it, observed past the run's deadline, was the deadline: Timeout.
+    if (result.criterion == EquivalenceCriterion::Cancelled &&
+        !cancel.load(std::memory_order_acquire) &&
+        !externalCancel_.load(std::memory_order_acquire) &&
+        Clock::now() >= deadline) {
+      result.criterion = EquivalenceCriterion::Timeout;
     }
     // Close the span before publishing the result so its duration never
     // includes sibling bookkeeping — the sequential path finishes its span
@@ -424,6 +409,12 @@ Result EquivalenceCheckingManager::run() {
       suppressedExceptions += group.suppressedExceptions();
     } else {
       for (const auto i : pending) {
+        if (Clock::now() >= deadline) {
+          // The budget ran out before this engine's turn: skip its set-up
+          // (circuit alignment, ZX conversion), which no poll interrupts.
+          engineResults_[i].criterion = EquivalenceCriterion::Timeout;
+          continue;
+        }
         runAttempt(i);
         if (cancel.load(std::memory_order_acquire)) {
           // The question is settled — skip the remaining engines instead of
@@ -475,10 +466,6 @@ Result EquivalenceCheckingManager::run() {
   if (suppressedExceptions > 0) {
     combined.counters.add("task_pool/suppressed_exceptions",
                           static_cast<double>(suppressedExceptions));
-  }
-  if (watchdog != nullptr) {
-    combined.counters.add("watchdog/trips",
-                          static_cast<double>(watchdog->trips()));
   }
   // Nonzero fired/suppressed totals of armed injection points; silent (and
   // golden-stable) when no plan was armed.

@@ -2,7 +2,9 @@
 
 #include "fault/fault.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 namespace veriqc::check {
@@ -126,25 +128,33 @@ void TaskPool::enqueue(Task task) {
   }
 }
 
-bool TaskPool::tryTake(const std::size_t preferred, Task& out) {
+bool TaskPool::tryTake(const std::size_t preferred, Task& out,
+                       const TaskGroup* only) {
+  const auto eligible = [only](const Task& task) {
+    return only == nullptr || task.group == only;
+  };
   // Own deque first (front: submission order), then steal from the back of
   // the other deques — the classic split that keeps owners cache-local and
   // thieves out of their way.
   {
     auto& queue = *queues_[preferred];
     const support::LockGuard lock(queue.mutex);
-    if (!queue.tasks.empty()) {
-      out = std::move(queue.tasks.front());
-      queue.tasks.pop_front();
+    const auto it =
+        std::find_if(queue.tasks.begin(), queue.tasks.end(), eligible);
+    if (it != queue.tasks.end()) {
+      out = std::move(*it);
+      queue.tasks.erase(it);
       return true;
     }
   }
   for (std::size_t i = 1; i < queues_.size(); ++i) {
     auto& victim = *queues_[(preferred + i) % queues_.size()];
     const support::LockGuard lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
+    const auto it =
+        std::find_if(victim.tasks.rbegin(), victim.tasks.rend(), eligible);
+    if (it != victim.tasks.rend()) {
+      out = std::move(*it);
+      victim.tasks.erase(std::next(it).base());
       return true;
     }
   }
@@ -240,9 +250,9 @@ void TaskPool::helpUntilDone(TaskGroup& group) {
       }
     }
     Task task;
-    if (tryTake(0, task)) {
-      // The helper may pick up tasks of *other* groups too — work is work,
-      // and draining a sibling group can only speed up our own turn.
+    if (tryTake(0, task, &group)) {
+      // Only this group's tasks: on a shared pool another group's task
+      // (another job's engine) could run far past this group's deadline.
       runTask(task, 0);
       continue;
     }

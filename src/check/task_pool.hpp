@@ -13,7 +13,12 @@
 ///  - Stop-token propagation: a TaskGroup carries an optional StopToken;
 ///    once it trips (or the group is cancelled) queued-but-unstarted tasks
 ///    of that group are skipped, not run. Running tasks are expected to
-///    poll the token themselves, as every engine already does.
+///    poll the token themselves: the DD engines through their package's
+///    stop predicate (inside multiply/add), ZX in its simplifier loop and
+///    the dense baseline once per unitary column.
+///  - Isolation: a thread waiting in TaskGroup::wait() helps only with its
+///    own group's tasks, so one job's manager thread never runs another
+///    job's engine (whose deadline it does not share) on a shared pool.
 ///  - Exception containment: the first exception a task throws is captured
 ///    and rethrown from TaskGroup::wait() on the submitting thread; later
 ///    exceptions of the same group are dropped (the group is cancelled by
@@ -136,11 +141,14 @@ private:
 
   void enqueue(Task task);
   /// Pop from the front of `preferred`, else steal from the back of another
-  /// queue. Returns false when every queue is empty.
-  bool tryTake(std::size_t preferred, Task& out);
+  /// queue; with `only` set, take only that group's tasks. Returns false
+  /// when no queue holds an eligible task.
+  bool tryTake(std::size_t preferred, Task& out,
+               const TaskGroup* only = nullptr);
   void runTask(Task& task, std::size_t slot);
   void workerLoop(std::size_t slot);
-  /// Help drain queues until `group` has no pending tasks.
+  /// Run `group`'s queued tasks on the calling thread until it has no
+  /// pending tasks.
   void helpUntilDone(TaskGroup& group);
 
   // queues_/workers_ are sized in the constructor and never resized; the

@@ -31,7 +31,7 @@ Package::Package(const std::size_t nqubits, const double tolerance,
       gateCacheMaxEntries_(std::max<std::size_t>(1, config.gateCacheMaxEntries)),
       gcInitialThreshold_(config.gcInitialThreshold),
       gcThreshold_(config.gcInitialThreshold), maxNodes_(config.maxNodes),
-      maxMemoryKB_(config.maxMemoryMB * 1024) {
+      maxMemoryKB_(config.maxMemoryMB * 1024), stop_(config.stop) {
   if (nqubits > kMaxLevels) {
     throw std::invalid_argument(
         "dd::Package: at most 255 qubits addressable by 32-bit node handles");
@@ -346,6 +346,7 @@ vEdge Package::makeBasisState(const std::vector<bool>& bits) {
 }
 
 mEdge Package::multiply(const mEdge& x, const mEdge& y) {
+  pollStop();
   if (x.isZero() || y.isZero()) {
     return zeroMatrix();
   }
@@ -382,6 +383,7 @@ mEdge Package::multiplyMatrixNodes(const NodeIndex x, const NodeIndex y,
   if (const auto* cached = multiplyTable_.lookup(x, y)) {
     return *cached;
   }
+  pollStopOnMiss();
   // Stack copies of both child tuples: the recursion below allocates slab
   // slots, which may reallocate the backing vectors.
   const auto& slab = mSlabs_[static_cast<std::size_t>(var)];
@@ -416,6 +418,7 @@ mEdge Package::multiplyMatrixNodes(const NodeIndex x, const NodeIndex y,
 }
 
 vEdge Package::multiply(const mEdge& m, const vEdge& v) {
+  pollStop();
   if (m.isZero() || v.isZero()) {
     return zeroVectorEdge();
   }
@@ -445,6 +448,7 @@ vEdge Package::multiplyVectorNodes(const NodeIndex m, const NodeIndex v,
   if (const auto* cached = multiplyVectorTable_.lookup(m, v)) {
     return *cached;
   }
+  pollStopOnMiss();
   const auto mc = mSlabs_[static_cast<std::size_t>(var)].children(slotOfIndex(m));
   const auto mw = mSlabs_[static_cast<std::size_t>(var)].weights(slotOfIndex(m));
   const auto vc = vSlabs_[static_cast<std::size_t>(var)].children(slotOfIndex(v));
@@ -489,6 +493,7 @@ mEdge Package::add(const mEdge& x, const mEdge& y) {
   if (const auto* cached = addTable_.lookup(x, y)) {
     return *cached;
   }
+  pollStopOnMiss();
   assert(levelOfIndex(x.n) == levelOfIndex(y.n));
   const auto var = levelOfIndex(x.n);
   const auto& slab = mSlabs_[static_cast<std::size_t>(var)];
@@ -525,6 +530,7 @@ vEdge Package::add(const vEdge& x, const vEdge& y) {
   if (const auto* cached = addVectorTable_.lookup(x, y)) {
     return *cached;
   }
+  pollStopOnMiss();
   assert(levelOfIndex(x.n) == levelOfIndex(y.n));
   const auto var = levelOfIndex(x.n);
   const auto& slab = vSlabs_[static_cast<std::size_t>(var)];

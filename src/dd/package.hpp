@@ -34,6 +34,11 @@ namespace veriqc::dd {
 /// collection; the threshold then adapts to twice the surviving node count.
 inline constexpr std::size_t kGcInitialThreshold = 65536;
 
+/// Compute-table misses between two polls of the stop predicate inside the
+/// multiply/add recursion: a countdown decrement per miss, one predicate
+/// call (typically a clock read and an atomic load) per this many misses.
+inline constexpr std::size_t kStopPollMisses = 1024;
+
 /// Sizing knobs of a package's caches. The defaults match the tuned hot-path
 /// configuration; tests shrink them to exercise collision and eviction paths.
 struct PackageConfig {
@@ -55,6 +60,12 @@ struct PackageConfig {
   /// Polled via getrusage at a throttle from garbageCollect(); note the
   /// watermark is process-wide and never decreases.
   std::size_t maxMemoryMB = 0;
+  /// Stop predicate of the owning engine (empty = never stop), polled at
+  /// the entry of both multiply overloads and every kStopPollMisses misses
+  /// inside the multiply/add recursion; true throws StopRequested. Nothing
+  /// is half-built at a poll point, but references the caller took may be
+  /// stranded, so the owner drops the package after such a stop.
+  std::function<bool()> stop;
 };
 
 /// Aggregate statistics of a package instance.
@@ -165,6 +176,7 @@ public:
   vEdge makeBasisState(const std::vector<bool>& bits);
 
   // --- operations -----------------------------------------------------------
+  /// \throws StopRequested when the configured stop predicate trips.
   [[nodiscard]] mEdge multiply(const mEdge& x, const mEdge& y);
   [[nodiscard]] vEdge multiply(const mEdge& m, const vEdge& v);
   [[nodiscard]] mEdge add(const mEdge& x, const mEdge& y);
@@ -372,6 +384,19 @@ private:
   void countMatrixNodes(NodeIndex n, std::set<NodeIndex>& seen) const;
   void countVectorNodes(NodeIndex n, std::set<NodeIndex>& seen) const;
 
+  void pollStop() {
+    if (stop_ && stop_()) {
+      throw StopRequested();
+    }
+  }
+  /// Called on every compute-table miss; polls once per kStopPollMisses.
+  void pollStopOnMiss() {
+    if (--stopCountdown_ == 0) {
+      stopCountdown_ = kStopPollMisses;
+      pollStop();
+    }
+  }
+
   mEdge multiplyMatrixNodes(NodeIndex x, NodeIndex y, Level var);
   vEdge multiplyVectorNodes(NodeIndex m, NodeIndex v, Level var);
   std::complex<double> traceNode(NodeIndex node);
@@ -427,6 +452,8 @@ private:
   std::size_t maxNodes_ = 0;
   std::size_t maxMemoryKB_ = 0;
   std::size_t memoryCheckCountdown_ = 0;
+  std::function<bool()> stop_;
+  std::size_t stopCountdown_ = kStopPollMisses;
 };
 
 /// White-box access to a package's slab stores for audit mutation tests and

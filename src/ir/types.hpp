@@ -23,8 +23,9 @@ inline constexpr double PI_4 = PI / 4.0;
 /// std::exception) distinguishes errors veriqc raised deliberately — bad
 /// input, exhausted budgets — from toolchain/runtime failures. Concrete
 /// kinds: CircuitError (malformed input), qasm::ParseError (malformed
-/// source text, with position) and ResourceLimitError (a configured budget
-/// was exceeded; retry with a larger one).
+/// source text, with position), ResourceLimitError (a configured budget
+/// was exceeded; retry with a larger one) and StopRequested (a stop
+/// predicate asked a computation to give up).
 class VeriqcError : public std::runtime_error {
 public:
   explicit VeriqcError(const std::string& msg) : std::runtime_error(msg) {}
@@ -59,6 +60,15 @@ private:
   std::string resource_;
   std::size_t limit_;
   std::size_t observed_;
+};
+
+/// Thrown when a stop predicate returns true (deadline passed, or a sibling
+/// engine settled the question). Deliberately not a ResourceLimitError: a
+/// stop is no budget failure and not worth a retry; engines attribute it
+/// themselves (Timeout or Cancelled).
+class StopRequested : public VeriqcError {
+public:
+  StopRequested() : VeriqcError("stop requested") {}
 };
 
 } // namespace veriqc

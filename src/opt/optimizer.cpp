@@ -5,6 +5,8 @@
 #include <cmath>
 #include <complex>
 #include <optional>
+#include <utility>
+#include <vector>
 
 namespace veriqc::opt {
 
@@ -18,11 +20,16 @@ bool isZeroAngle(const double theta) {
 
 /// Index of the next op after `i` acting on any qubit of ops[i], or npos.
 /// Sets `blocked` if that op shares only part of the qubits or is a barrier.
+/// Ops flagged in `removed` (when given) are skipped as if already erased.
 std::size_t nextOnSameQubits(const std::vector<Operation>& ops,
-                             const std::size_t i, bool& blocked) {
+                             const std::size_t i, bool& blocked,
+                             const std::vector<bool>* removed = nullptr) {
   blocked = false;
   const auto qubits = ops[i].usedQubits();
   for (std::size_t j = i + 1; j < ops.size(); ++j) {
+    if (removed != nullptr && (*removed)[j]) {
+      continue;
+    }
     const auto& candidate = ops[j];
     if (candidate.type == OpType::Barrier) {
       blocked = true;
@@ -245,38 +252,51 @@ std::size_t fuseSingleQubitGates(QuantumCircuit& circuit) {
 std::size_t reconstructSwaps(QuantumCircuit& circuit) {
   auto& ops = circuit.ops();
   std::size_t reconstructed = 0;
-  bool changed = true;
   const auto isCx = [](const Operation& op) {
     return op.type == OpType::X && op.controls.size() == 1;
   };
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (!isCx(ops[i])) {
-        continue;
-      }
-      bool blocked1 = false;
-      const auto j = nextOnSameQubits(ops, i, blocked1);
-      if (blocked1 || j >= ops.size() || !isCx(ops[j])) {
-        continue;
-      }
-      bool blocked2 = false;
-      const auto k = nextOnSameQubits(ops, j, blocked2);
-      if (blocked2 || k >= ops.size() || !isCx(ops[k])) {
-        continue;
-      }
-      const Qubit a = ops[i].controls[0];
-      const Qubit b = ops[i].targets[0];
-      if (ops[j].controls[0] == b && ops[j].targets[0] == a &&
-          ops[k].controls[0] == a && ops[k].targets[0] == b) {
-        ops[i] = Operation(OpType::SWAP, {}, {a, b});
-        ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(k));
-        ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(j));
-        ++reconstructed;
-        changed = true;
-        break;
-      }
+  // One forward pass; the triple's tail is flagged, and the list compacted
+  // once at the end. A rewrite at i cannot create a match before i (earlier
+  // ops on {a, b} reach i first, and i becomes a SWAP, not a CX), so one
+  // pass already reaches the fixpoint; a rescan from the front after each
+  // rewrite would be quadratic in a routed circuit's SWAP count.
+  std::vector<bool> removed(ops.size(), false);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (removed[i] || !isCx(ops[i])) {
+      continue;
     }
+    bool blocked1 = false;
+    const auto j = nextOnSameQubits(ops, i, blocked1, &removed);
+    if (blocked1 || j >= ops.size() || !isCx(ops[j])) {
+      continue;
+    }
+    bool blocked2 = false;
+    const auto k = nextOnSameQubits(ops, j, blocked2, &removed);
+    if (blocked2 || k >= ops.size() || !isCx(ops[k])) {
+      continue;
+    }
+    const Qubit a = ops[i].controls[0];
+    const Qubit b = ops[i].targets[0];
+    if (ops[j].controls[0] == b && ops[j].targets[0] == a &&
+        ops[k].controls[0] == a && ops[k].targets[0] == b) {
+      ops[i] = Operation(OpType::SWAP, {}, {a, b});
+      removed[j] = true;
+      removed[k] = true;
+      ++reconstructed;
+    }
+  }
+  if (reconstructed > 0) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (removed[i]) {
+        continue;
+      }
+      if (kept != i) {
+        ops[kept] = std::move(ops[i]);
+      }
+      ++kept;
+    }
+    ops.resize(kept);
   }
   return reconstructed;
 }

@@ -5,8 +5,7 @@
 
 namespace veriqc::sim {
 
-dd::mEdge buildUnitaryDD(dd::Package& package, const QuantumCircuit& circuit,
-                         const StopToken& stop) {
+dd::mEdge buildUnitaryDD(dd::Package& package, const QuantumCircuit& circuit) {
   if (package.numQubits() != circuit.numQubits()) {
     throw std::invalid_argument("buildUnitaryDD: qubit count mismatch");
   }
@@ -16,9 +15,6 @@ dd::mEdge buildUnitaryDD(dd::Package& package, const QuantumCircuit& circuit,
   for (const auto& op : explicitCircuit.ops()) {
     if (op.isNonUnitary()) {
       continue;
-    }
-    if (stop && stop()) {
-      return e;
     }
     const auto gate = package.makeOperationDD(op);
     const auto next = package.multiply(gate, e);
@@ -39,7 +35,7 @@ dd::mEdge buildUnitaryDD(dd::Package& package, const QuantumCircuit& circuit,
 }
 
 dd::vEdge simulate(dd::Package& package, const QuantumCircuit& circuit,
-                   const dd::vEdge initialState, const StopToken& stop) {
+                   const dd::vEdge initialState) {
   if (package.numQubits() != circuit.numQubits()) {
     throw std::invalid_argument("simulate: qubit count mismatch");
   }
@@ -49,9 +45,6 @@ dd::vEdge simulate(dd::Package& package, const QuantumCircuit& circuit,
   for (const auto& op : explicitCircuit.ops()) {
     if (op.isNonUnitary()) {
       continue;
-    }
-    if (stop && stop()) {
-      return state;
     }
     const auto gate = package.makeOperationDD(op);
     const auto next = package.multiply(gate, state);

@@ -48,6 +48,14 @@ Amplitude Matrix::trace() const {
   return t;
 }
 
+Amplitude Matrix::overlap(const Matrix& other) const {
+  Amplitude sum{};
+  for (std::size_t i = 0; i < data_.size(); ++i) {
+    sum += std::conj(data_[i]) * other.data_[i];
+  }
+  return sum;
+}
+
 double Matrix::distance(const Matrix& other) const {
   double sum = 0.0;
   for (std::size_t i = 0; i < dim_; ++i) {
@@ -62,8 +70,7 @@ bool Matrix::equalsUpToGlobalPhase(const Matrix& other, const double tol) const 
   if (dim_ != other.dim_) {
     return false;
   }
-  const auto overlap = adjoint().multiply(other).trace();
-  return std::abs(std::abs(overlap) - static_cast<double>(dim_)) <
+  return std::abs(std::abs(overlap(other)) - static_cast<double>(dim_)) <
          tol * static_cast<double>(dim_);
 }
 
@@ -171,10 +178,14 @@ Matrix permutationMatrix(const Permutation& sigma) {
   return m;
 }
 
-Matrix circuitUnitary(const QuantumCircuit& circuit) {
+Matrix circuitUnitary(const QuantumCircuit& circuit,
+                      const std::function<bool()>& stop) {
   const std::size_t dim = std::size_t{1} << circuit.numQubits();
   Matrix result(dim);
   for (std::size_t col = 0; col < dim; ++col) {
+    if (stop && stop()) {
+      throw StopRequested();
+    }
     StateVector basis(dim);
     basis[col] = 1.0;
     applyLogical(circuit, basis);

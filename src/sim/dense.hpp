@@ -12,6 +12,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 namespace veriqc::sim {
@@ -39,6 +40,9 @@ public:
   [[nodiscard]] Matrix multiply(const Matrix& rhs) const;
   [[nodiscard]] Matrix adjoint() const;
   [[nodiscard]] Amplitude trace() const;
+  /// tr(A^dagger B) as the O(dim^2) sum of conj(a_ij) b_ij.
+  /// \pre other.dim() == dim()
+  [[nodiscard]] Amplitude overlap(const Matrix& other) const;
 
   /// Frobenius distance ||A - B||.
   [[nodiscard]] double distance(const Matrix& other) const;
@@ -76,8 +80,11 @@ void applyLogical(const QuantumCircuit& circuit, StateVector& state);
 [[nodiscard]] Matrix permutationMatrix(const Permutation& sigma);
 
 /// The full 2^n x 2^n unitary realized by the circuit on logical qubits
-/// (permutations and global phase included).
-[[nodiscard]] Matrix circuitUnitary(const QuantumCircuit& circuit);
+/// (permutations and global phase included), built one basis column at a
+/// time. `stop` is polled once per column.
+/// \throws StopRequested when `stop` returns true.
+[[nodiscard]] Matrix circuitUnitary(const QuantumCircuit& circuit,
+                                    const std::function<bool()>& stop = {});
 
 /// Inner product <a|b>.
 [[nodiscard]] Amplitude innerProduct(const StateVector& a,

@@ -3,7 +3,7 @@
 ///        contracts.
 ///
 /// Every mutex-protected structure of the concurrent layers (TaskPool,
-/// SoftWatchdog, SharedGateCache, JobService, PhaseTimer, fault::Registry)
+/// SharedGateCache, JobService, PhaseTimer, fault::Registry)
 /// declares which capability guards which field (`VERIQC_GUARDED_BY`) and
 /// which functions demand or acquire capabilities (`VERIQC_REQUIRES`,
 /// `VERIQC_ACQUIRE`/`VERIQC_RELEASE`, `VERIQC_EXCLUDES`). Under Clang the

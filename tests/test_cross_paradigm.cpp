@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <random>
 #include <string>
@@ -427,6 +429,193 @@ TEST(SimulationAccountingTest, MidRunCancellationNeverOverclaims) {
   EXPECT_LE(performed, claimed);
   EXPECT_LE(claimed, 32.0);
   EXPECT_EQ(static_cast<double>(result.performedSimulations), performed);
+}
+
+// --- deadline latency ----------------------------------------------------------
+//
+// A deadline bounds wall time. The DD package polls the stop inside
+// multiply/add, so neither a single engine nor a manager run may overrun its
+// budget by more than a slack fixed here before measuring. Polls between gate
+// applications only let compiled grover_6 overrun 200 ms by 0.2-0.9 s, and
+// naive graph_state_62 run 19 s past a 1 s budget.
+
+constexpr auto kLatencyBudget = std::chrono::milliseconds(200);
+
+// The slack is fixed for uninstrumented builds. Sanitizers slow the set-up
+// no stop poll covers (circuit alignment, ZX conversion, teardown) 5-15x, so
+// their builds scale it: still far below the multi-second overruns of an
+// uninterruptible multiply.
+#if defined(__SANITIZE_THREAD__)
+constexpr int kInstrumentationFactor = 8;
+#elif defined(__SANITIZE_ADDRESS__)
+constexpr int kInstrumentationFactor = 4;
+#else
+constexpr int kInstrumentationFactor = 1;
+#endif
+constexpr auto kLatencySlack =
+    std::chrono::milliseconds(250) * kInstrumentationFactor;
+
+/// Table 1(a)'s grover_6 row: the circuit and its heavy-hex compilation.
+struct CompiledPair {
+  QuantumCircuit original;
+  QuantumCircuit compiled;
+  compile::ExpansionCounts counts;
+};
+
+CompiledPair compiledPair(QuantumCircuit original) {
+  CompiledPair pair{std::move(original), QuantumCircuit(1), {}};
+  pair.compiled = compile::compileForArchitecture(
+      pair.original, compile::Architecture::ibmManhattanLike(), {},
+      &pair.counts);
+  return pair;
+}
+
+CompiledPair compiledGrover6() { return compiledPair(circuits::grover(6, 37)); }
+
+/// The grover_6 configuration under test. The naive oracle keeps every
+/// engine busy well past the budget (proportional decides this pair in
+/// about 0.1 s, which would leave no deadline to observe).
+Configuration latencyConfig() {
+  Configuration config;
+  config.timeout = kLatencyBudget;
+  config.oracle = OracleStrategy::Naive;
+  return config;
+}
+
+template <typename Run>
+std::chrono::milliseconds elapsedOf(Run&& run) {
+  const auto start = std::chrono::steady_clock::now();
+  run();
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+}
+
+/// A slot stopped by the deadline must read Timeout; one that beat the
+/// deadline (a much faster machine) has a verdict instead.
+void expectTimedOutOrDecided(const Result& result) {
+  EXPECT_TRUE(result.criterion == EquivalenceCriterion::Timeout ||
+              provedEquivalent(result.criterion) ||
+              result.criterion == EquivalenceCriterion::ProbablyEquivalent)
+      << result.toString();
+}
+
+TEST(DeadlineLatencyTest, EveryDDEngineStopsWithinTheBound) {
+  // Standalone engines get no token: their own deadline stops them.
+  const auto pair = compiledGrover6();
+  const auto config = latencyConfig();
+  // The adversarial case: graph_state_62 under the naive oracle builds
+  // diagrams whose single multiply used to run for many seconds.
+  const auto graph = compiledPair(circuits::randomGraphState(62, 20, 2));
+  const std::vector<std::pair<std::string, std::function<Result()>>> engines = {
+      {"alternating", [&] {
+         return ddAlternatingCheck(pair.original, pair.compiled, config);
+       }},
+      {"compilation-flow", [&] {
+         return ddCompilationFlowCheck(pair.original, pair.compiled,
+                                       pair.counts, config);
+       }},
+      {"construction", [&] {
+         return ddConstructionCheck(pair.original, pair.compiled, config);
+       }},
+      {"simulation", [&] {
+         return ddSimulationCheck(pair.original, pair.compiled, config);
+       }},
+      {"alternating graph_state_62", [&] {
+         return ddAlternatingCheck(graph.original, graph.compiled, config);
+       }},
+  };
+  for (const auto& [name, run] : engines) {
+    SCOPED_TRACE(name);
+    Result result;
+    const auto elapsed = elapsedOf([&] { result = run(); });
+    EXPECT_LE(elapsed, kLatencyBudget + kLatencySlack) << result.toString();
+    expectTimedOutOrDecided(result);
+  }
+}
+
+void expectManagerHoldsTheDeadline(const bool parallel) {
+  const auto pair = compiledGrover6();
+  auto config = latencyConfig();
+  config.runZX = true;
+  config.parallel = parallel;
+  EquivalenceCheckingManager manager(pair.original, pair.compiled, config);
+  Result combined;
+  const auto elapsed = elapsedOf([&] { combined = manager.run(); });
+  EXPECT_LE(elapsed, kLatencyBudget + kLatencySlack) << combined.toString();
+  const auto& slots = manager.engineResults();
+  const bool decided = std::any_of(slots.begin(), slots.end(),
+                                   [](const Result& slot) {
+                                     return isDefinitive(slot.criterion);
+                                   });
+  if (decided) {
+    EXPECT_TRUE(isDefinitive(combined.criterion)) << combined.toString();
+    return;
+  }
+  // No slot settled the pair, so the deadline stopped every one of them:
+  // each reads Timeout (never Cancelled, which would claim a sibling
+  // verdict that does not exist), and so does the run.
+  EXPECT_EQ(combined.criterion, EquivalenceCriterion::Timeout)
+      << combined.toString();
+  for (const auto& slot : slots) {
+    EXPECT_EQ(slot.criterion, EquivalenceCriterion::Timeout)
+        << slot.toString();
+  }
+}
+
+TEST(DeadlineLatencyTest, SequentialManagerStopsWithinTheBound) {
+  expectManagerHoldsTheDeadline(false);
+}
+
+TEST(DeadlineLatencyTest, ParallelManagerStopsWithinTheBound) {
+  expectManagerHoldsTheDeadline(true);
+}
+
+TEST(DeadlineAttributionTest, RetriedAttemptStoppedByTheRunDeadlineIsATimeout) {
+  // The first attempt fails on an injected fault; the retry starts later, so
+  // its own deadline lags the run's by a whole attempt. The run's deadline
+  // stops it, and the slot must say so. Naive graph_state_62 runs for many
+  // seconds, so the budget leaves ample room for the failed first attempt
+  // even in instrumented builds.
+  const auto pair = compiledPair(circuits::randomGraphState(62, 20, 2));
+  auto config = latencyConfig();
+  config.timeout = std::chrono::seconds(1);
+  config.runSimulation = false;
+  config.parallel = false;
+  config.engineRetryLimit = 1;
+  config.faultPlan = "dd.gc:after=20:times=1";
+  EquivalenceCheckingManager manager(pair.original, pair.compiled, config);
+  const auto combined = manager.run();
+  ASSERT_EQ(manager.engineResults().size(), 1U);
+  const auto& slot = manager.engineResults()[0];
+  ASSERT_EQ(slot.attempts.size(), 2U) << slot.toString();
+  EXPECT_EQ(slot.attempts[0].criterion, "resource_exhausted");
+  EXPECT_EQ(slot.attempts[1].criterion, "timeout");
+  EXPECT_EQ(slot.criterion, EquivalenceCriterion::Timeout) << slot.toString();
+  EXPECT_EQ(combined.criterion, EquivalenceCriterion::Timeout);
+}
+
+TEST(DenseStopTest, PreTrippedTokenIsCancelled) {
+  const auto c = circuits::qft(6);
+  const auto result = denseCheck(c, c, {}, 12, [] { return true; });
+  EXPECT_EQ(result.criterion, EquivalenceCriterion::Cancelled)
+      << result.toString();
+}
+
+TEST(DenseStopTest, ManagerPassesItsDeadlineToTheDenseSlot) {
+  // Building both qft_11 unitaries takes the dense engine seconds; the
+  // run's deadline must stop it between two columns.
+  const auto c = circuits::qft(11);
+  Configuration config;
+  config.runAlternating = false;
+  config.runSimulation = false;
+  config.runDense = true;
+  config.timeout = kLatencyBudget;
+  Result combined;
+  const auto elapsed =
+      elapsedOf([&] { combined = checkEquivalence(c, c, config); });
+  EXPECT_EQ(combined.criterion, EquivalenceCriterion::Timeout)
+      << combined.toString();
+  EXPECT_LE(elapsed, kLatencyBudget + kLatencySlack);
 }
 
 } // namespace

@@ -7,11 +7,11 @@
 #include "check/manager.hpp"
 #include "check/report.hpp"
 #include "check/task_pool.hpp"
-#include "check/watchdog.hpp"
 #include "circuits/benchmarks.hpp"
 #include "dd/package.hpp"
 #include "dd/shared_cache.hpp"
 #include "fault/fault.hpp"
+#include "sim/dd_simulator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace veriqc;
@@ -575,64 +576,89 @@ TEST(TaskPoolFaultTest, SubmitFailureRollsBackPendingCount) {
   EXPECT_EQ(ran.load(), 8);
 }
 
-// --- watchdog ----------------------------------------------------------------
+// --- stop unwinding ------------------------------------------------------------
+//
+// A tripped stop predicate throws StopRequested from inside the DD kernel —
+// at a multiply entry or mid-recursion. These cases walk that unwind and then
+// keep or drop the package; the ASan fault sweep checks them for leaks.
 
-TEST(WatchdogTest, TripsOnceWhenASlotGoesSilent) {
-  std::atomic<int> trips{0};
-  std::atomic<std::size_t> trippedSlot{99};
-  SoftWatchdog watchdog(2, std::chrono::milliseconds(50),
-                        [&](const std::size_t slot) {
-                          trips.fetch_add(1);
-                          trippedSlot.store(slot);
-                        });
-  watchdog.beginSlot(1);
-  // Slot 1 never beats: the monitor must trip it within ~1.25x the budget.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (trips.load() == 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+static_assert(!std::is_base_of_v<ResourceLimitError, StopRequested>,
+              "a stop must never look like a budget failure to the manager");
+
+TEST(StopUnwindTest, StopMidMultiplyLeavesThePackageAuditClean) {
+  bool armed = false;
+  std::size_t polls = 0;
+  dd::PackageConfig config;
+  config.stop = [&armed, &polls] { return armed && ++polls > 1; };
+  dd::Package p(5, dd::RealTable::kDefaultTolerance, config);
+  const auto u1 = sim::buildUnitaryDD(p, circuits::randomCircuit(5, 40, 1));
+  const auto u2 = sim::buildUnitaryDD(p, circuits::randomCircuit(5, 40, 2));
+  // The entry poll passes; the next one comes from inside the recursion,
+  // at most kStopPollMisses compute-table misses later.
+  armed = true;
+  EXPECT_THROW((void)p.multiply(u1, u2), StopRequested);
+  EXPECT_EQ(polls, 2U);
+  // Nothing is half-built at a poll point: the orphaned partial product is
+  // plain garbage and every invariant holds.
+  const std::array roots{u1, u2};
+  const auto report = audit::auditPackage(p, roots);
+  EXPECT_TRUE(report.empty()) << report.toString();
+  // The same package still computes the full product correctly.
+  armed = false;
+  const auto product = p.multiply(u1, u2);
+  dd::Package fresh(5);
+  const auto f1 = sim::buildUnitaryDD(fresh, circuits::randomCircuit(5, 40, 1));
+  const auto f2 = sim::buildUnitaryDD(fresh, circuits::randomCircuit(5, 40, 2));
+  const auto expected = fresh.multiply(f1, f2);
+  for (std::size_t r = 0; r < 32; r += 3) {
+    EXPECT_NEAR(std::abs(p.getEntry(product, r, 5) -
+                         fresh.getEntry(expected, r, 5)),
+                0.0, 1e-9);
   }
-  EXPECT_EQ(trips.load(), 1);
-  EXPECT_EQ(trippedSlot.load(), 1U);
-  EXPECT_TRUE(watchdog.tripped(1));
-  EXPECT_FALSE(watchdog.tripped(0));
-  // A trip is once-per-slot: more silence does not re-fire.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_EQ(trips.load(), 1);
-  EXPECT_EQ(watchdog.trips(), 1U);
 }
 
-TEST(WatchdogTest, HeartbeatsKeepASlotAlive) {
-  std::atomic<int> trips{0};
-  SoftWatchdog watchdog(1, std::chrono::milliseconds(50),
-                        [&](std::size_t) { trips.fetch_add(1); });
-  watchdog.beginSlot(0);
-  for (int i = 0; i < 30; ++i) {
-    watchdog.beat(0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+TEST(StopUnwindTest, StrandedReferencesDieWithTheDroppedPackage) {
+  // simulate() holds a referenced state when the stop lands; the owner drops
+  // the whole package instead of untangling it.
+  std::size_t polls = 0;
+  dd::PackageConfig config;
+  config.stop = [&polls] { return ++polls > 20; };
+  {
+    dd::Package p(6, dd::RealTable::kDefaultTolerance, config);
+    const auto circuit = circuits::randomCircuit(6, 200, 3);
+    EXPECT_THROW((void)sim::simulate(p, circuit, p.makeZeroState()),
+                 StopRequested);
   }
-  watchdog.endSlot(0);
-  EXPECT_EQ(trips.load(), 0);
+  EXPECT_EQ(polls, 21U);
 }
 
-TEST(WatchdogTest, FinishedSlotsAreNotMonitored) {
-  std::atomic<int> trips{0};
-  SoftWatchdog watchdog(1, std::chrono::milliseconds(50),
-                        [&](std::size_t) { trips.fetch_add(1); });
-  watchdog.beginSlot(0);
-  watchdog.endSlot(0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_EQ(trips.load(), 0);
-}
-
-TEST(WatchdogTest, ManagerExportsTripCounterWhenEnabled) {
+TEST(StopUnwindTest, StoppedEnginesAttributeAndRecordUnderFullAudit) {
+  // Engines stopped mid-kernel under the strictest audit level: each reports
+  // Cancelled (no deadline configured) with the statistics gathered so far,
+  // and no checkpoint trips on the unwound package.
   Configuration config;
-  config.simulationRuns = 2;
-  config.watchdogMillis = 5000; // generous: engines poll far more often
-  config.parallel = true;
-  const auto combined =
-      checkEquivalence(circuits::ghz(3), circuits::ghz(3), config);
-  EXPECT_EQ(combined.criterion, EquivalenceCriterion::Equivalent);
-  EXPECT_TRUE(combined.counters.contains("watchdog/trips"));
-  EXPECT_DOUBLE_EQ(combined.counters.value("watchdog/trips"), 0.0);
+  config.auditLevel = 2;
+  config.recordTrace = true;
+  config.simulationRuns = 32;
+  config.simulationThreads = 4;
+  const auto c = circuits::randomCircuit(6, 200, 4);
+  std::atomic<std::size_t> polls{0};
+  const auto after = [&polls](const std::size_t n) {
+    polls = 0;
+    return StopToken([&polls, n] { return polls.fetch_add(1) >= n; });
+  };
+  const auto alternating = ddAlternatingCheck(c, c, config, after(40));
+  EXPECT_EQ(alternating.criterion, EquivalenceCriterion::Cancelled)
+      << alternating.toString();
+  EXPECT_FALSE(alternating.sizeTrace.empty());
+  EXPECT_TRUE(alternating.counters.contains("dd.multiply.lookups"));
+  const auto construction = ddConstructionCheck(c, c, config, after(40));
+  EXPECT_EQ(construction.criterion, EquivalenceCriterion::Cancelled)
+      << construction.toString();
+  EXPECT_GT(construction.peakNodes, 0U);
+  const auto simulation = ddSimulationCheck(c, c, config, after(300));
+  EXPECT_EQ(simulation.criterion, EquivalenceCriterion::Cancelled)
+      << simulation.toString();
+  EXPECT_LE(simulation.counters.value("sim.stimuli.performed"),
+            simulation.counters.value("sim.stimuli.claimed"));
 }

@@ -118,6 +118,33 @@ TEST(OptimizerTest, ReconstructSwapsIgnoresWrongPattern) {
   EXPECT_EQ(opt::reconstructSwaps(c), 0U);
 }
 
+TEST(OptimizerTest, ReconstructSwapsRewritesBackToBackTriples) {
+  // Routing emits SWAP chains: consecutive triples on the same and on
+  // overlapping wires, with unrelated gates interleaved. One pass must
+  // rewrite every triple a repeated front-to-back rescan would.
+  QuantumCircuit c(4);
+  for (int rep = 0; rep < 2; ++rep) {
+    c.cx(0, 1);
+    c.h(3);
+    c.cx(1, 0);
+    c.cx(0, 1);
+  }
+  c.cx(1, 2);
+  c.cx(2, 1);
+  c.cx(1, 2);
+  c.cx(2, 1); // a fourth CX: the triple ends before it
+  const auto before = c;
+  EXPECT_EQ(opt::reconstructSwaps(c), 3U);
+  ASSERT_EQ(c.gateCount(), 6U);
+  EXPECT_TRUE(c.ops()[0].isBareSwap());
+  EXPECT_EQ(c.ops()[1].type, OpType::H);
+  EXPECT_TRUE(c.ops()[2].isBareSwap());
+  EXPECT_EQ(c.ops()[3].type, OpType::H);
+  EXPECT_TRUE(c.ops()[4].isBareSwap());
+  EXPECT_EQ(c.ops()[5].type, OpType::X);
+  expectEquivalent(before, c, "back-to-back swap reconstruction");
+}
+
 TEST(OptimizerTest, OptimizePreservesSemantics) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto c = circuits::randomCircuit(4, 40, seed);

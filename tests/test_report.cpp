@@ -88,7 +88,11 @@ Json goldenReport() {
        "node budget of 100000 exceeded"},
   };
 
+  // As the manager builds it: the winner's record, but only manager-level
+  // counters (the engines' own counters stay on their slots).
   Result combined = engines[0];
+  combined.counters = obs::CounterRegistry{};
+  combined.counters.add("task_pool/suppressed_exceptions", 1);
   combined.method = "manager";
   combined.runtimeSeconds = 1.25;
   combined.resourceLimitedEngines = {"engine-7"};
@@ -186,10 +190,12 @@ TEST(GoldenReportTest, EngineCountersAreNamespacedBySlot) {
       counters.at("engine:engine-0/dd.multiply.lookups").asDouble(), 100.0);
   EXPECT_DOUBLE_EQ(counters.at("engine:engine-1/zx.rewrites").asDouble(),
                    23.0);
-  // Flat totals are preserved: the combined result contributes the same
-  // dd counters once more, so the run-wide sum is engine + combined.
-  EXPECT_DOUBLE_EQ(counters.at("dd.multiply.lookups").asDouble(), 200.0);
+  // Flat totals count every engine once: the combined record carries only
+  // manager-level counters, never a second copy of the winner's.
+  EXPECT_DOUBLE_EQ(counters.at("dd.multiply.lookups").asDouble(), 100.0);
   EXPECT_DOUBLE_EQ(counters.at("zx.rewrites").asDouble(), 23.0);
+  EXPECT_DOUBLE_EQ(
+      counters.at("task_pool/suppressed_exceptions").asDouble(), 1.0);
 }
 
 // --- validator ---------------------------------------------------------------
@@ -333,4 +339,28 @@ TEST(LiveReportTest, ManagerRunSerializesParsesAndMatchesEngineResults) {
     sawDDCounter = sawDDCounter || name.rfind("dd.", 0) == 0;
   }
   EXPECT_TRUE(sawDDCounter);
+}
+
+TEST(LiveReportTest, OneEngineRunCountsEveryCounterOnce) {
+  // Regression: the combined record used to carry a copy of the winner's
+  // counters, so the flat run-wide totals counted the winning engine twice
+  // (qft_6: dd.add.lookups 160 against the engine's own 80).
+  Configuration config;
+  config.runSimulation = false;
+  config.parallel = false;
+  EquivalenceCheckingManager manager(circuits::qft(6), circuits::qft(6),
+                                     config);
+  const auto combined = manager.run();
+  ASSERT_TRUE(provedEquivalent(combined.criterion)) << combined.toString();
+  ASSERT_EQ(manager.engineResults().size(), 1U);
+  const auto& engine = manager.engineResults()[0];
+  ASSERT_FALSE(engine.counters.empty());
+  EXPECT_TRUE(combined.counters.empty());
+  const auto report = buildRunReport(manager, combined, config);
+  const auto& counters = report.at("counters");
+  for (const auto& [name, counter] : engine.counters.entries()) {
+    const auto* flat = counters.find(name);
+    ASSERT_NE(flat, nullptr) << name;
+    EXPECT_DOUBLE_EQ(flat->asDouble(), counter.value) << name;
+  }
 }

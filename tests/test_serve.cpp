@@ -239,6 +239,17 @@ TEST(JobParseTest, RetiredParallelismKeysAreRejected) {
   }
 }
 
+TEST(JobParseTest, RetiredWatchdogKeyIsRejected) {
+  // The soft watchdog is gone (the DD kernel polls the stop itself); a
+  // client still setting its budget is told so instead of being ignored.
+  const check::Configuration defaults;
+  const std::string key = "watchdogMillis";
+  const auto parsed = parseJobLine(
+      jobLine("j", "a", "b", "{\"" + key + "\":30000}"), defaults);
+  EXPECT_EQ(parsed.reason, RejectReason::MalformedRequest);
+  EXPECT_EQ(parsed.detail, "config." + key + ": unknown configuration key");
+}
+
 TEST(JobParseTest, TruncatedJsonKeepsTheInvariantViaRejection) {
   const check::Configuration defaults;
   // Simulate a line cut mid-transmission at every prefix length: none may
@@ -636,6 +647,7 @@ TEST(JobServiceTest, FiftyJobMixedBatchAcceptance) {
   ASSERT_EQ(reports.size(), 50U); // exactly one line per submission
   std::map<std::string, std::size_t> seen;
   double reportedMultiplyLookups = 0.0;
+  double engineMultiplyLookups = 0.0;
   std::size_t ran = 0;
   for (const auto& [id, report] : reports) {
     ++seen[id];
@@ -662,6 +674,13 @@ TEST(JobServiceTest, FiftyJobMixedBatchAcceptance) {
               report.at("counters").find("dd.multiply.lookups");
           lookups != nullptr) {
         reportedMultiplyLookups += lookups->asDouble();
+      }
+      for (const auto& engine : report.at("engines").asArray()) {
+        if (const auto* lookups =
+                engine.at("counters").find("dd.multiply.lookups");
+            lookups != nullptr) {
+          engineMultiplyLookups += lookups->asDouble();
+        }
       }
     }
   }
@@ -698,6 +717,9 @@ TEST(JobServiceTest, FiftyJobMixedBatchAcceptance) {
   EXPECT_DOUBLE_EQ(counter("serve/rejected.budget_exceeds_limit"), 8.0);
   EXPECT_DOUBLE_EQ(counter("dd.multiply.lookups"),
                    reportedMultiplyLookups);
+  // ... and each engine's work is counted exactly once.
+  EXPECT_GT(engineMultiplyLookups, 0.0);
+  EXPECT_DOUBLE_EQ(counter("dd.multiply.lookups"), engineMultiplyLookups);
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.submitted, 50U);

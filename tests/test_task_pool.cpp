@@ -161,6 +161,53 @@ TEST(TaskPoolTest, GroupsOnOnePoolAreIndependent) {
   EXPECT_EQ(groupB.skippedTasks(), 16U);
 }
 
+TEST(TaskPoolTest, WaitRunsOnlyItsOwnGroupsTasks) {
+  // On a shared pool (veriqcd), a job's manager thread waiting for its own
+  // engines must not pick up another job's engine: nothing bounds how long
+  // that one runs. Group A parks a running task behind a latch and queues
+  // two more; group B's wait() must return while the latch is still shut.
+  TaskPool pool(2); // one worker thread plus the waiting thread
+  std::atomic<bool> open{false};
+  std::atomic<int> startedA{0};
+  const auto parked = [&open, &startedA](std::size_t) {
+    startedA.fetch_add(1);
+    while (!open.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  TaskGroup groupA(pool);
+  groupA.submit("a0", parked);
+  while (startedA.load() == 0) {
+    std::this_thread::yield(); // the worker now holds a0
+  }
+  groupA.submit("a1", parked);
+  groupA.submit("a2", parked);
+  std::atomic<bool> ranB{false};
+  TaskGroup groupB(pool);
+  groupB.submit("b", [&ranB](std::size_t) { ranB.store(true); });
+  // A regression must fail, not hang: open the latch after 5 s regardless.
+  std::atomic<bool> valveFired{false};
+  std::thread valve([&open, &valveFired] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!open.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (!open.exchange(true)) {
+      valveFired.store(true);
+    }
+  });
+  groupB.wait();
+  const bool returnedWhileShut = !open.load();
+  open.store(true);
+  valve.join();
+  groupA.wait();
+  EXPECT_TRUE(ranB.load());
+  EXPECT_TRUE(returnedWhileShut);
+  EXPECT_FALSE(valveFired.load());
+  EXPECT_EQ(startedA.load(), 3);
+}
+
 TEST(TaskPoolTest, PhaseTimerRecordsTaskSpans) {
   obs::PhaseTimer phases;
   TaskPool pool(2);
