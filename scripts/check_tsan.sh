@@ -5,8 +5,8 @@
 # packages adopt one warm gate snapshot concurrently), the multi-threaded
 # simulation worker pool (including oversubscription and mid-flight
 # cancellation) and several concurrent managers at once.
-# tests/test_task_pool.cpp drives the work-stealing pool's queue/steal/sleep
-# handshakes, cancellation and exception containment directly.
+# tests/test_task_pool.cpp drives the FIFO pool's queue/wait/wake
+# handshakes, group isolation and exception containment directly.
 # tests/test_fault_injection.cpp adds the degradation-ladder retry rounds,
 # fault-poisoned task groups and simulation workers unwinding a stop from
 # inside their DD kernels, all of which cross thread boundaries. tests/test_serve.cpp runs

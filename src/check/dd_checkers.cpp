@@ -619,10 +619,9 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   // is deterministic regardless of thread count and scheduling.
   std::atomic<std::size_t> failIndex{kNoFail};
   std::atomic<bool> sawStop{false};
-  // Workers must not let exceptions escape (raw std::thread would
-  // std::terminate). A tripped resource budget is remembered as a flag so the
-  // surviving workers' verdicts still count; any other exception is captured
-  // once and rethrown on the caller's thread after the join.
+  // A tripped resource budget is remembered as a flag so the surviving
+  // workers' verdicts still count; any other exception propagates (inline, or
+  // rethrown by TaskGroup::wait on this thread).
   std::atomic<bool> sawResourceLimit{false};
   // Indices actually claimed from the shared counter. Tracked separately
   // from `performed` so the exact-accounting invariant — a cancelled worker
@@ -632,7 +631,6 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   support::Mutex resultMutex; // guards the non-atomic result fields below
   std::size_t peakNodes = 0;
   std::string resourceLimitMessage;
-  std::exception_ptr workerError;
 
   const auto shouldStop = stopOrDeadline(stop, deadline);
   const auto workerFn = [&]() {
@@ -725,11 +723,6 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
       if (resourceLimitMessage.empty()) {
         resourceLimitMessage = e.what();
       }
-    } catch (...) {
-      const support::LockGuard lock(resultMutex);
-      if (!workerError) {
-        workerError = std::current_exception();
-      }
     }
   };
 
@@ -737,19 +730,13 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
     workerFn();
   } else {
     // N pool slots give N-way parallelism from N-1 spawned threads: the
-    // calling thread runs one worker task itself inside wait(). Worker
-    // exceptions are contained by workerFn (flag + exception_ptr), so the
-    // group's own rethrow path stays unused here.
+    // calling thread runs one worker task itself inside wait().
     TaskPool pool(workers);
     TaskGroup group(pool);
     for (std::size_t i = 0; i < workers; ++i) {
-      group.submit("simulate:worker" + std::to_string(i),
-                   [&workerFn](std::size_t /*slot*/) { workerFn(); });
+      group.submit(workerFn);
     }
     group.wait();
-  }
-  if (workerError) {
-    std::rethrow_exception(workerError);
   }
 
   result.performedSimulations = performed.load();

@@ -369,13 +369,12 @@ Result EquivalenceCheckingManager::run() {
         ownedPool.emplace(pending.size());
       }
       TaskPool& pool = externalPool_ != nullptr ? *externalPool_ : *ownedPool;
-      // No group-level stop token here: every engine must *start* even when
-      // a sibling finishes first, so its slot records Cancelled (an honest
-      // "was started, then yielded") instead of being skipped outright.
+      // Every engine *starts* even when a sibling finishes first (the pool
+      // skips tasks only of a poisoned group), so its slot records Cancelled
+      // (an honest "was started, then yielded") instead of NotRun.
       TaskGroup group(pool);
       for (const auto i : pending) {
-        group.submit("engine:" + engineName(slotKind[i], slotConfig[i]),
-                     [&runAttempt, i](std::size_t /*slot*/) { runAttempt(i); });
+        group.submit([&runAttempt, i] { runAttempt(i); });
       }
       try {
         group.wait();

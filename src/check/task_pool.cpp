@@ -3,51 +3,38 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <iterator>
 #include <utility>
 
 namespace veriqc::check {
 
 // --- TaskGroup ---------------------------------------------------------------
 
-TaskGroup::TaskGroup(TaskPool& pool, std::function<bool()> stop,
-                     obs::PhaseTimer* phases)
-    : pool_(pool), stop_(std::move(stop)), phases_(phases) {}
-
 TaskGroup::~TaskGroup() {
   // A group must never outlive its tasks: drain without rethrowing (wait()
   // is the reporting path; the destructor only guarantees quiescence).
-  cancel();
+  {
+    const support::LockGuard lock(mutex_);
+    cancelled_ = true;
+  }
   pool_.helpUntilDone(*this);
 }
 
-void TaskGroup::submit(std::string label, std::function<void(std::size_t)> fn) {
+void TaskGroup::submit(std::function<void()> fn) {
   {
     const support::LockGuard lock(mutex_);
     ++pending_;
   }
   try {
-    pool_.enqueue({this, std::move(fn), std::move(label)});
+    pool_.enqueue({this, std::move(fn)});
   } catch (...) {
     // Roll the count back, or wait()/~TaskGroup would block forever on a
-    // task that never reached a queue.
+    // task that never reached the queue.
     const support::LockGuard lock(mutex_);
     if (--pending_ == 0) {
       done_.notify_all();
     }
     throw;
   }
-}
-
-void TaskGroup::cancel() noexcept {
-  const support::LockGuard lock(mutex_);
-  cancelled_ = true;
-}
-
-bool TaskGroup::cancelled() const noexcept {
-  const support::LockGuard lock(mutex_);
-  return cancelled_;
 }
 
 void TaskGroup::wait() {
@@ -72,21 +59,17 @@ std::size_t TaskGroup::suppressedExceptions() const noexcept {
 // --- TaskPool ----------------------------------------------------------------
 
 TaskPool::TaskPool(const std::size_t slots) {
-  const std::size_t count = slots == 0 ? 1 : slots;
-  queues_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
-  // Slot 0 belongs to the submitting thread (it participates via wait()).
-  workers_.reserve(count - 1);
-  for (std::size_t slot = 1; slot < count; ++slot) {
-    workers_.emplace_back([this, slot] { workerLoop(slot); });
+  // One slot belongs to the waiting thread (it participates via wait()).
+  const std::size_t spawned = slots == 0 ? 0 : slots - 1;
+  workers_.reserve(spawned);
+  for (std::size_t i = 0; i < spawned; ++i) {
+    workers_.emplace_back([this] { workerLoop(); });
   }
 }
 
 TaskPool::~TaskPool() {
   {
-    const support::LockGuard lock(sleepMutex_);
+    const support::LockGuard lock(mutex_);
     shutdown_ = true;
   }
   work_.notify_all();
@@ -104,85 +87,40 @@ std::size_t TaskPool::resolveSlots(const std::size_t configured) {
 }
 
 void TaskPool::enqueue(Task task) {
-  std::size_t target = 0;
   {
-    const support::LockGuard lock(sleepMutex_);
-    target = nextQueue_;
-    nextQueue_ = (nextQueue_ + 1) % queues_.size();
+    const support::LockGuard lock(mutex_);
+    tasks_.push_back(std::move(task));
   }
-  {
-    auto& queue = *queues_[target];
-    const support::LockGuard lock(queue.mutex);
-    queue.tasks.push_back(std::move(task));
-  }
-  // Notify while holding sleepMutex_: a worker's empty-recheck and its
-  // wait() form one critical section under sleepMutex_, so an unlocked
-  // notify could fire exactly between them (push not yet visible at the
-  // recheck, notify gone before the wait) and the worker would sleep
-  // through a queued task. Taking the mutex forces this notify to land
-  // either before the recheck (which then sees the task) or after the
-  // worker started waiting (which then receives it).
-  {
-    const support::LockGuard lock(sleepMutex_);
-    work_.notify_all();
-  }
+  // A worker checks the queue and starts waiting under mutex_, so this push
+  // is either seen by its check or lands after it waits: no wakeup is lost.
+  work_.notify_one();
 }
 
-bool TaskPool::tryTake(const std::size_t preferred, Task& out,
-                       const TaskGroup* only) {
-  const auto eligible = [only](const Task& task) {
-    return only == nullptr || task.group == only;
-  };
-  // Own deque first (front: submission order), then steal from the back of
-  // the other deques — the classic split that keeps owners cache-local and
-  // thieves out of their way.
-  {
-    auto& queue = *queues_[preferred];
-    const support::LockGuard lock(queue.mutex);
-    const auto it =
-        std::find_if(queue.tasks.begin(), queue.tasks.end(), eligible);
-    if (it != queue.tasks.end()) {
-      out = std::move(*it);
-      queue.tasks.erase(it);
-      return true;
-    }
+bool TaskPool::tryTake(Task& out, const TaskGroup* only) {
+  const auto it =
+      std::find_if(tasks_.begin(), tasks_.end(), [only](const Task& task) {
+        return only == nullptr || task.group == only;
+      });
+  if (it == tasks_.end()) {
+    return false;
   }
-  for (std::size_t i = 1; i < queues_.size(); ++i) {
-    auto& victim = *queues_[(preferred + i) % queues_.size()];
-    const support::LockGuard lock(victim.mutex);
-    const auto it =
-        std::find_if(victim.tasks.rbegin(), victim.tasks.rend(), eligible);
-    if (it != victim.tasks.rend()) {
-      out = std::move(*it);
-      victim.tasks.erase(std::next(it).base());
-      return true;
-    }
-  }
-  return false;
+  out = std::move(*it);
+  tasks_.erase(it);
+  return true;
 }
 
-void TaskPool::runTask(Task& task, const std::size_t slot) {
+void TaskPool::runTask(Task& task) {
   TaskGroup& group = *task.group;
   bool skip = false;
   {
     const support::LockGuard lock(group.mutex_);
     skip = group.cancelled_;
   }
-  // The stop token is polled outside the group mutex: tokens are arbitrary
-  // callables (deadline checks, atomic loads) and must not run under a lock.
-  if (!skip && group.stop_ && group.stop_()) {
-    skip = true;
-  }
   if (!skip) {
     try {
       VERIQC_FAULT_POINT(fault::points::kPoolTaskStart,
                          fault::FaultKind::Runtime);
-      if (group.phases_ != nullptr) {
-        auto span = group.phases_->scope(task.label);
-        task.fn(slot);
-      } else {
-        task.fn(slot);
-      }
+      task.fn();
     } catch (...) {
       const support::LockGuard lock(group.mutex_);
       if (!group.firstError_) {
@@ -197,72 +135,53 @@ void TaskPool::runTask(Task& task, const std::size_t slot) {
       group.cancelled_ = true;
     }
   }
-  {
-    const support::LockGuard lock(group.mutex_);
-    if (skip) {
-      ++group.skipped_;
-    }
-    if (--group.pending_ == 0) {
-      // Notify while still holding the mutex: the waiter is free to destroy
-      // the group the moment it observes pending_ == 0 (wait()/~TaskGroup
-      // return paths), so the condition variable must not be touched after
-      // this lock is released.
-      group.done_.notify_all();
-    }
+  const support::LockGuard lock(group.mutex_);
+  if (skip) {
+    ++group.skipped_;
+  }
+  if (--group.pending_ == 0) {
+    // Notify while still holding the mutex: the waiter is free to destroy
+    // the group the moment it observes pending_ == 0 (wait()/~TaskGroup
+    // return paths), so the condition variable must not be touched after
+    // this lock is released.
+    group.done_.notify_all();
   }
 }
 
-void TaskPool::workerLoop(const std::size_t slot) {
+void TaskPool::workerLoop() {
   while (true) {
     Task task;
-    if (tryTake(slot, task)) {
-      runTask(task, slot);
-      continue;
-    }
-    support::LockGuard lock(sleepMutex_);
-    if (shutdown_) {
-      return;
-    }
-    // Re-check under the lock: an enqueue between the failed tryTake and
-    // this wait would otherwise be missed (its notify already fired).
-    bool anyWork = false;
-    for (const auto& queuePtr : queues_) {
-      auto& queue = *queuePtr;
-      const support::LockGuard queueLock(queue.mutex);
-      if (!queue.tasks.empty()) {
-        anyWork = true;
-        break;
+    {
+      support::LockGuard lock(mutex_);
+      while (!tryTake(task, nullptr)) {
+        if (shutdown_) {
+          return;
+        }
+        work_.wait(lock);
       }
     }
-    if (anyWork) {
-      continue;
-    }
-    work_.wait(lock);
+    runTask(task);
   }
 }
 
 void TaskPool::helpUntilDone(TaskGroup& group) {
+  // Only this group's tasks: on a shared pool another group's task (another
+  // job's engine) could run far past this group's deadline.
   while (true) {
+    Task task;
     {
-      const support::LockGuard lock(group.mutex_);
-      if (group.pending_ == 0) {
-        return;
+      const support::LockGuard lock(mutex_);
+      if (!tryTake(task, &group)) {
+        break;
       }
     }
-    Task task;
-    if (tryTake(0, task, &group)) {
-      // Only this group's tasks: on a shared pool another group's task
-      // (another job's engine) could run far past this group's deadline.
-      runTask(task, 0);
-      continue;
-    }
-    // Nothing to steal: our remaining tasks are running on workers. Block
-    // until the group count hits zero.
-    support::LockGuard lock(group.mutex_);
-    if (group.pending_ == 0) {
-      return;
-    }
-    group.done_.wait_for(lock, std::chrono::milliseconds(1));
+    runTask(task);
+  }
+  // None of the group's tasks is queued any more, and only its owner (this
+  // thread) submits: the rest are running on workers.
+  support::LockGuard lock(group.mutex_);
+  while (group.pending_ != 0) {
+    group.done_.wait(lock);
   }
 }
 

@@ -1,41 +1,35 @@
 /// \file task_pool.hpp
-/// \brief Shared work-stealing task pool for the checker layer.
+/// \brief Shared FIFO task pool for the checker layer.
 ///
 /// One pool serves every parallel path of the checker layer: the manager's
-/// concurrent engines and the random-stimuli worker pool. Each execution
-/// slot (the calling thread plus `slots - 1` spawned workers) owns a deque;
-/// submission round-robins across the deques, an idle slot steals from the
-/// back of a victim's deque, and the submitting thread itself executes tasks
-/// while it waits — so a pool of N slots yields exactly N-way parallelism
-/// with N-1 threads.
+/// concurrent engines and the random-stimuli worker pool. The pool holds one
+/// queue; tasks start in submission order, on a spawned worker or on a
+/// thread waiting for its group — so a pool of N slots (the waiting thread
+/// plus `slots - 1` spawned workers) yields exactly N-way parallelism with
+/// N-1 threads. A group holds about one task per slot (one per engine, one
+/// per stimuli worker), so work stealing would have nothing to balance.
 ///
 /// Contracts the checker layer relies on:
-///  - Stop-token propagation: a TaskGroup carries an optional StopToken;
-///    once it trips (or the group is cancelled) queued-but-unstarted tasks
-///    of that group are skipped, not run. Running tasks are expected to
-///    poll the token themselves: the DD engines through their package's
-///    stop predicate (inside multiply/add), ZX in its simplifier loop and
-///    the dense baseline once per unitary column.
 ///  - Isolation: a thread waiting in TaskGroup::wait() helps only with its
 ///    own group's tasks, so one job's manager thread never runs another
 ///    job's engine (whose deadline it does not share) on a shared pool.
 ///  - Exception containment: the first exception a task throws is captured
 ///    and rethrown from TaskGroup::wait() on the submitting thread; later
-///    exceptions of the same group are dropped (the group is cancelled by
-///    the first). A task exception never unwinds a pool thread.
-///  - Observability: when a group is given an obs::PhaseTimer, every task
-///    records a span named by its label for the run report's phase list.
+///    exceptions of the same group are counted, not rethrown. The first
+///    exception poisons the group: its unstarted tasks are skipped. A task
+///    exception never unwinds a pool thread.
+///  - Stopping is the tasks' business: running tasks poll their own stop
+///    tokens (the DD engines through their package's stop predicate inside
+///    multiply/add, ZX in its set-up and simplifier loop, the dense baseline
+///    once per unitary column).
 #pragma once
 
-#include "obs/phase_timer.hpp"
 #include "support/mutex.hpp"
 
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,39 +37,28 @@ namespace veriqc::check {
 
 class TaskPool;
 
-/// A batch of related tasks submitted to a TaskPool. The owner submits
-/// tasks, then blocks in wait(), which lends the calling thread to the pool
+/// A batch of related tasks submitted to a TaskPool. One owning thread
+/// submits the tasks, then blocks in wait(), which lends it to the pool
 /// until every task of the group has either run or been skipped.
 class TaskGroup {
 public:
-  /// \param stop optional cooperative token: once it returns true, tasks of
-  ///        this group that have not started yet are skipped.
-  /// \param phases optional span sink: each executed task records a span
-  ///        named by its submit() label.
-  explicit TaskGroup(TaskPool& pool, std::function<bool()> stop = {},
-                     obs::PhaseTimer* phases = nullptr);
+  explicit TaskGroup(TaskPool& pool) : pool_(pool) {}
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
-  /// Destruction waits for stragglers (without rethrowing), so a group can
-  /// never outlive the state its tasks capture by reference.
+  /// Destruction skips unstarted tasks and waits for running ones (without
+  /// rethrowing), so a group can never outlive the state its tasks capture
+  /// by reference.
   ~TaskGroup();
 
-  /// Queue one task. `fn` receives the executing slot index
-  /// (0 .. TaskPool::slotCount()-1), stable per task execution — the anchor
-  /// for slot-local state such as per-worker DD packages.
-  void submit(std::string label, std::function<void(std::size_t)> fn);
-
-  /// Mark the group cancelled: unstarted tasks are skipped. Running tasks
-  /// keep running (they poll their own stop tokens).
-  void cancel() noexcept;
-  [[nodiscard]] bool cancelled() const noexcept;
+  /// Queue one task.
+  void submit(std::function<void()> fn);
 
   /// Run tasks on the calling thread until the group is drained, then
   /// rethrow the first captured task exception, if any.
   void wait();
 
-  /// Tasks that were skipped (group cancelled or stop token tripped before
-  /// they started). Meaningful after wait().
+  /// Tasks that were skipped (the group was poisoned by a task exception
+  /// before they started). Meaningful after wait().
   [[nodiscard]] std::size_t skippedTasks() const noexcept;
 
   /// Task exceptions beyond the first: they lose the wait() rethrow race and
@@ -88,25 +71,21 @@ private:
   friend class TaskPool;
 
   TaskPool& pool_;
-  // Set once in the constructor and only read afterwards (pool threads call
-  // stop_/phases_ concurrently) — immutable state needs no capability.
-  std::function<bool()> stop_;
-  obs::PhaseTimer* phases_;
-
   mutable support::Mutex mutex_;
   support::CondVar done_;
   /// Submitted but not yet finished/skipped.
   std::size_t pending_ VERIQC_GUARDED_BY(mutex_) = 0;
   std::size_t skipped_ VERIQC_GUARDED_BY(mutex_) = 0;
   std::size_t suppressedExceptions_ VERIQC_GUARDED_BY(mutex_) = 0;
+  /// Set by the first task exception and by the destructor.
   bool cancelled_ VERIQC_GUARDED_BY(mutex_) = false;
   std::exception_ptr firstError_ VERIQC_GUARDED_BY(mutex_);
 };
 
-/// The work-stealing pool. Deliberately scoped, not a process singleton:
-/// every parallel section constructs a pool sized to its configured
-/// parallelism and tears it down when done, which keeps thread ownership as
-/// explicit as package ownership.
+/// The FIFO pool. Deliberately scoped, not a process singleton: every
+/// parallel section constructs a pool sized to its configured parallelism
+/// and tears it down when done, which keeps thread ownership as explicit as
+/// package ownership.
 class TaskPool {
 public:
   /// \param slots total execution slots, including the calling thread;
@@ -118,7 +97,7 @@ public:
   ~TaskPool();
 
   [[nodiscard]] std::size_t slotCount() const noexcept {
-    return queues_.size();
+    return workers_.size() + 1;
   }
 
   /// Execution slots for a configured thread-count knob: 0 means hardware
@@ -129,37 +108,26 @@ private:
   friend class TaskGroup;
 
   struct Task {
-    TaskGroup* group;
-    std::function<void(std::size_t)> fn;
-    std::string label;
-  };
-
-  struct Queue {
-    support::Mutex mutex;
-    std::deque<Task> tasks VERIQC_GUARDED_BY(mutex);
+    TaskGroup* group = nullptr;
+    std::function<void()> fn;
   };
 
   void enqueue(Task task);
-  /// Pop from the front of `preferred`, else steal from the back of another
-  /// queue; with `only` set, take only that group's tasks. Returns false
-  /// when no queue holds an eligible task.
-  bool tryTake(std::size_t preferred, Task& out,
-               const TaskGroup* only = nullptr);
-  void runTask(Task& task, std::size_t slot);
-  void workerLoop(std::size_t slot);
+  /// Move the oldest queued task (of `only`'s group, when set) into `out`.
+  /// Returns false when no queued task is eligible.
+  bool tryTake(Task& out, const TaskGroup* only) VERIQC_REQUIRES(mutex_);
+  static void runTask(Task& task);
+  void workerLoop();
   /// Run `group`'s queued tasks on the calling thread until it has no
   /// pending tasks.
   void helpUntilDone(TaskGroup& group);
 
-  // queues_/workers_ are sized in the constructor and never resized; the
-  // Queue objects they point at carry their own capabilities.
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
-
-  support::Mutex sleepMutex_;
+  support::Mutex mutex_;
   support::CondVar work_;
-  std::size_t nextQueue_ VERIQC_GUARDED_BY(sleepMutex_) = 0;
-  bool shutdown_ VERIQC_GUARDED_BY(sleepMutex_) = false;
+  std::deque<Task> tasks_ VERIQC_GUARDED_BY(mutex_);
+  bool shutdown_ VERIQC_GUARDED_BY(mutex_) = false;
+  // Sized in the constructor and only joined in the destructor.
+  std::vector<std::thread> workers_;
 };
 
 } // namespace veriqc::check

@@ -31,12 +31,51 @@ Result zxCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
     return (stop && stop()) || Clock::now() >= deadline;
   };
 
-  const auto [a, b] = alignCircuits(c1, c2);
-  auto diagram =
-      zx::circuitToZX(compile::decomposeForZX(a), config.zxPhaseSnapTolerance)
-          .compose(zx::circuitToZX(compile::decomposeForZX(b),
-                                   config.zxPhaseSnapTolerance)
-                       .adjoint());
+  const auto stopCriterion = [deadline] {
+    return Clock::now() >= deadline ? EquivalenceCriterion::Timeout
+                                    : EquivalenceCriterion::Cancelled;
+  };
+  // The set-up before the simplifier's first poll costs tens of milliseconds
+  // on compiled circuits (ten times that under sanitizers), so it is polled
+  // between its steps: a stopped run returns before building the diagram.
+  const auto stopped = [&] {
+    if (!shouldStop()) {
+      return false;
+    }
+    result.criterion = stopCriterion();
+    result.runtimeSeconds = elapsed();
+    return true;
+  };
+  zx::ZXDiagram diagram;
+  {
+    // Scoped so the aligned circuits and the second diagram are freed
+    // before the reduction starts.
+    if (stopped()) {
+      return result;
+    }
+    const auto [a, b] = alignCircuits(c1, c2);
+    if (stopped()) {
+      return result;
+    }
+    const auto decomposedA = compile::decomposeForZX(a);
+    if (stopped()) {
+      return result;
+    }
+    diagram = zx::circuitToZX(decomposedA, config.zxPhaseSnapTolerance);
+    if (stopped()) {
+      return result;
+    }
+    const auto decomposedB = compile::decomposeForZX(b);
+    if (stopped()) {
+      return result;
+    }
+    const auto inverseB =
+        zx::circuitToZX(decomposedB, config.zxPhaseSnapTolerance).adjoint();
+    if (stopped()) {
+      return result;
+    }
+    diagram = diagram.compose(inverseB);
+  }
   zx::SimplifierOptions options;
   options.gadgetRules = config.zxGadgetRules;
   options.maxVertices = config.maxZXVertices;
@@ -84,9 +123,7 @@ Result zxCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
                       "zx-calculus post-reduce checkpoint");
   recordStats();
   if (!completed) {
-    result.criterion = Clock::now() >= deadline
-                           ? EquivalenceCriterion::Timeout
-                           : EquivalenceCriterion::Cancelled;
+    result.criterion = stopCriterion();
     return result;
   }
   // Both diagrams were built over logical qubits, so equivalence requires

@@ -189,6 +189,17 @@ TEST(ZXStopAttributionTest, SiblingCancellationIsNotATimeout) {
       << result.toString();
 }
 
+TEST(ZXStopAttributionTest, PreTrippedTokenStopsBeforeTheDiagramIsBuilt) {
+  // The set-up (decomposition, conversion, composition) polls the token
+  // between its steps, so a run stopped before it starts builds nothing.
+  const auto c = circuits::randomCliffordT(6, 200, 0.2, 5);
+  const auto result = zxCheck(c, c, Configuration{}, [] { return true; });
+  EXPECT_EQ(result.criterion, EquivalenceCriterion::Cancelled)
+      << result.toString();
+  EXPECT_EQ(result.remainingSpiders, 0U);
+  EXPECT_TRUE(result.zxRuleStats.empty());
+}
+
 TEST(ZXStopAttributionTest, DeadlineExpiryIsATimeout) {
   // The checker measures its deadline from its own start, so the workload
   // must reliably outlast the 1 ms budget (this reduction takes tens of

@@ -549,7 +549,7 @@ TEST(TaskPoolFaultTest, SecondaryExceptionsAreCountedNotDropped) {
   // group cancellation the first exception triggers.
   std::atomic<int> started{0};
   for (int i = 0; i < 4; ++i) {
-    group.submit("thrower", [&started](std::size_t) {
+    group.submit([&started] {
       started.fetch_add(1);
       while (started.load() < 4) {
         std::this_thread::yield();
@@ -570,10 +570,33 @@ TEST(TaskPoolFaultTest, SubmitFailureRollsBackPendingCount) {
   TaskGroup group(pool);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
-    group.submit("ok", [&ran](std::size_t) { ran.fetch_add(1); });
+    group.submit([&ran] { ran.fetch_add(1); });
   }
   group.wait();
   EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(TaskPoolFaultTest, StimulusWorkerDefectSurfacesAsEngineError) {
+  // A non-budget exception in one of several stimuli workers travels the
+  // pool's own path (first exception rethrown from wait()) to the manager's
+  // firewall, which records it on the simulation slot.
+  Configuration config;
+  config.runAlternating = false;
+  config.parallel = false;
+  config.simulationThreads = 4;
+  config.simulationRuns = 8;
+  config.faultPlan = "dd.gc:throw=runtime:times=1";
+  config.engineRetryLimit = 0;
+  EquivalenceCheckingManager manager(circuits::qft(5), circuits::qft(5),
+                                     config);
+  (void)manager.run();
+  ASSERT_EQ(manager.engineResults().size(), 1U);
+  const auto& slot = manager.engineResults()[0];
+  EXPECT_EQ(slot.criterion, EquivalenceCriterion::EngineError)
+      << slot.toString();
+  EXPECT_NE(slot.errorMessage.find("injected fault at dd.gc"),
+            std::string::npos)
+      << slot.errorMessage;
 }
 
 // --- stop unwinding ------------------------------------------------------------
