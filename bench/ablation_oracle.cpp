@@ -34,14 +34,11 @@ int main() {
 
   std::printf("\nAblation: alternating-checker oracle strategies "
               "(equivalent compiled instances)\n");
-  std::printf("%-20s %7s | %10s %10s | %10s %10s | %10s %10s | %10s %5s | "
-              "%10s %10s\n",
+  std::printf("%-20s %7s | %10s %10s | %10s %10s | %10s %10s | %10s %5s\n",
               "benchmark", "|G'|", "naive[s]", "nodes", "prop[s]", "nodes",
-              "look[s]", "nodes", "race[s]", "won", "flow[s]", "nodes");
+              "look[s]", "nodes", "race[s]", "won");
   for (const auto& original : originals) {
-    compile::ExpansionCounts counts;
-    const auto compiled =
-        compile::compileForArchitecture(original, arch, {}, &counts);
+    const auto compiled = compile::compileForArchitecture(original, arch);
     std::printf("%-20s %7zu |", original.name().c_str(),
                 compiled.gateCount());
     for (const auto oracle :
@@ -68,19 +65,8 @@ int main() {
     const char* won = race.method == "dd-alternating(lookahead)"      ? "look"
                       : race.method == "dd-alternating(proportional)" ? "prop"
                                                                       : "-";
-    std::printf(" %9.3f%s %5s |", race.runtimeSeconds,
+    std::printf(" %9.3f%s %5s\n", race.runtimeSeconds,
                 check::provedEquivalent(race.criterion) ? " " : "!", won);
-    std::fflush(stdout);
-    // The compilation-flow scheme (uses the compiler's expansion record).
-    const auto deadline =
-        std::chrono::steady_clock::now() + bench::benchTimeout();
-    const auto flow = check::ddCompilationFlowCheck(
-        original, compiled, counts, {}, [deadline] {
-          return std::chrono::steady_clock::now() >= deadline;
-        });
-    std::printf(" %9.3f%s %10zu |\n", flow.runtimeSeconds,
-                check::provedEquivalent(flow.criterion) ? " " : "!",
-                flow.peakNodes);
     std::fflush(stdout);
   }
   std::printf("('!' marks runs without an equivalence verdict, e.g. "

@@ -2,8 +2,6 @@
 /// \brief Google-benchmark microbenchmarks of the decision-diagram package.
 #include "check/dd_checkers.hpp"
 #include "circuits/benchmarks.hpp"
-#include "compile/architecture.hpp"
-#include "compile/mapper.hpp"
 #include "dd/package.hpp"
 #include "sim/dd_simulator.hpp"
 
@@ -168,24 +166,6 @@ void BM_AlternatingGroverCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AlternatingGroverCheck)->Unit(benchmark::kMillisecond);
-
-/// Compilation-flow check of a 64-qubit GHZ preparation against its
-/// heavy-hex compilation: the wide-circuit counterpart of the Grover
-/// workload above (few gates per qubit, expansion counts driving the
-/// interleaving, SWAP chains absorbed by the permutation tracker).
-void BM_CompiledFlowCheck(benchmark::State& state) {
-  const auto original = circuits::ghz(64);
-  compile::ExpansionCounts counts;
-  const auto compiled = compile::compileForArchitecture(
-      original, compile::Architecture::ibmManhattanLike(), {}, &counts);
-  const check::Configuration config;
-  for (auto _ : state) {
-    const auto result =
-        check::ddCompilationFlowCheck(original, compiled, counts, config);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_CompiledFlowCheck)->Unit(benchmark::kMillisecond);
 
 /// Random-stimuli equivalence check: sequential (1 worker) vs. a small
 /// thread pool. Each worker owns its own package; identical verdicts by

@@ -10,7 +10,7 @@
 /// Usage: veriqcd [--socket <path>] [--max-active <n>] [--queue <n>]
 ///                [--pool-slots <n>] [--max-memory-mb <n>] [--max-dd-nodes <n>]
 ///                [--max-line-bytes <n>] [--timeout-ms <n>] [--sims <n>]
-///                [--allow-fault-plans] [--no-shared-cache] [--metrics-fd <fd>]
+///                [--allow-fault-plans] [--metrics-fd <fd>]
 ///
 /// Signals: SIGINT/SIGTERM drain-and-cancel (in-flight jobs report verdict
 /// "cancelled", queued jobs are rejected "shutting_down"); SIGUSR1 requests
@@ -54,7 +54,7 @@ void usage(const char* prog) {
       "usage: %s [--socket <path>] [--max-active <n>] [--queue <n>]\n"
       "          [--pool-slots <n>] [--max-memory-mb <n>] [--max-dd-nodes <n>]\n"
       "          [--max-line-bytes <n>] [--timeout-ms <n>] [--sims <n>]\n"
-      "          [--allow-fault-plans] [--no-shared-cache] [--metrics-fd <fd>]\n"
+      "          [--allow-fault-plans] [--metrics-fd <fd>]\n"
       "reads NDJSON job requests from stdin (or socket clients), writes one\n"
       "veriqc-report/v1 JSON line per job to stdout\n",
       prog);
@@ -262,8 +262,6 @@ int main(int argc, char** argv) {
       defaults.simulationRuns = numeric(i);
     } else if (std::strcmp(argv[i], "--allow-fault-plans") == 0) {
       limits.allowFaultPlans = true;
-    } else if (std::strcmp(argv[i], "--no-shared-cache") == 0) {
-      limits.useSharedGateCache = false;
     } else if (std::strcmp(argv[i], "--metrics-fd") == 0) {
       metricsFd = static_cast<int>(numeric(i));
     } else {

@@ -81,7 +81,7 @@ run_bench "./$BUILD_DIR/bench/dd_micro" "$OUT" \
   --benchmark_format=json \
   --benchmark_min_time=0.1 \
   --benchmark_repetitions=3 \
-  --benchmark_filter='BM_MakeGateDD|BM_MakeControlledGateDD|BM_BuildUnitary|BM_AlternatingGroverCheck|BM_CompiledFlowCheck'
+  --benchmark_filter='BM_MakeGateDD|BM_MakeControlledGateDD|BM_BuildUnitary|BM_AlternatingGroverCheck'
 
 run_bench "./$BUILD_DIR/bench/zx_micro" "$OUT_ZX" \
   --benchmark_format=json \

@@ -66,7 +66,6 @@ SLAB_ALLOCATING = {
     "multiplyVectorNodes",
     "add",
     "conjugateTranspose",
-    "importMatrix",
     "cachedGateDD",
     "buildGateDD",
     "buildSwapDD",

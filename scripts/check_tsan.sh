@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Run the thread-stress suites under ThreadSanitizer (the tsan CMake preset).
 # tests/test_threading.cpp is the main workload: the parallel manager's
-# racing engines (including the three-slot race, whose two alternating
-# packages adopt one warm gate snapshot concurrently), the multi-threaded
+# racing engines (including the three-slot race and its sibling
+# cancellation), the multi-threaded
 # simulation worker pool (including oversubscription and mid-flight
 # cancellation) and several concurrent managers at once.
 # tests/test_task_pool.cpp drives the FIFO pool's queue/wait/wake
@@ -10,12 +10,10 @@
 # tests/test_fault_injection.cpp adds the degradation-ladder retry rounds,
 # fault-poisoned task groups and simulation workers unwinding a stop from
 # inside their DD kernels, all of which cross thread boundaries. tests/test_serve.cpp runs
-# the veriqcd JobService: concurrent submitting clients, the shared warm
-# gate-cache's epoch publish/lease handshake, shutdown cancelling in-flight
-# jobs, and racing shutdown() callers (the double-join regression). The
-# SharedGateCacheEpochChurn stress (publishers/readers/retirer hammering one
-# cache while leases stay live) and the EnqueueWakesASleepingWorker missed-
-# wakeup regression run here too, as do the manager's raced-lookahead slot
+# the veriqcd JobService: concurrent submitting clients, shutdown cancelling
+# in-flight jobs, and racing shutdown() callers (the double-join regression).
+# The EnqueueWakesASleepingWorker missed-wakeup regression runs here too, as
+# do the manager's raced-lookahead slot
 # tests of tests/test_check.cpp (private and injected pools), and the
 # parallel manager's deadline-latency test of tests/test_cross_paradigm.cpp
 # (four racing slots stopped by one shared token). Any TSan report fails
@@ -35,4 +33,4 @@ cmake --build --preset tsan -j"$(nproc)" \
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|StopUnwindTest|ImportFaultTest|JobServiceTest|LookaheadRaceTest|DeadlineLatencyTest.ParallelManagerStopsWithinTheBound}"
+  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|StopUnwindTest|JobServiceTest|LookaheadRaceTest|DeadlineLatencyTest.ParallelManagerStopsWithinTheBound}"

@@ -83,9 +83,8 @@ EOF
 # Every injection point appears at least once with its firing asserted from
 # the run report; retries are enabled so the degradation ladder gets to
 # convert engine failures back into verdicts. (check.report kills the report
-# itself, and dd.import is only reached through a warm gate snapshot, which
-# check_qasm never adopts, so their firing is asserted by the fault test
-# suite instead.)
+# itself, and pool.enqueue fails a submit, which the manager does not
+# absorb, so their firing is asserted by the fault test suite instead.)
 cases=(
   "slab-grow|qft|dd|dd.slab_grow:after=5:times=2|0 2|dd.slab_grow"
   "unique-rebuild|deep|dd|dd.unique_rebuild:times=1|0 2|dd.unique_rebuild"

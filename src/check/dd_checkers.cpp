@@ -81,16 +81,6 @@ dd::PackageConfig packageConfigFor(const Configuration& config,
   return packageConfig;
 }
 
-/// Best-effort warm-cache adoption: when the caller published a gate-DD
-/// snapshot of matching shape (veriqcd's SharedGateCache), this package's
-/// gate-cache misses import from it instead of rebuilding. A shape mismatch
-/// silently leaves the package cold.
-void adoptWarmSource(dd::Package& package, const Configuration& config) {
-  if (config.warmGateSource != nullptr) {
-    package.adoptWarmGateSource(config.warmGateSource);
-  }
-}
-
 /// Independent seed for stimulus `run` (splitmix64 mix of seed and index):
 /// makes the generated stimulus a function of (seed, run) alone, independent
 /// of which worker draws it and in which order.
@@ -302,7 +292,6 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   const auto [a, b] = prepare(c1, c2, config);
   dd::Package package(a.numQubits(), config.numericalTolerance,
                       packageConfigFor(config, stopOrDeadline(stop, deadline)));
-  adoptWarmSource(package, config);
   audit::DDCheckpoint checkpoint(config.auditLevel,
                                  "dd-construction checkpoint");
 
@@ -382,7 +371,6 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   const auto [a, b] = prepare(c1, c2, config);
   dd::Package package(a.numQubits(), config.numericalTolerance,
                       packageConfigFor(config, stopOrDeadline(stop, deadline)));
-  adoptWarmSource(package, config);
 
   TaskSide right(a, /*invert=*/true); // G^dagger, multiplied from the right
   TaskSide left(b, /*invert=*/false); // G', multiplied from the left
@@ -502,103 +490,6 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   return result;
 }
 
-Result ddCompilationFlowCheck(const QuantumCircuit& original,
-                              const QuantumCircuit& compiled,
-                              const std::vector<std::size_t>& expansionCounts,
-                              const Configuration& config,
-                              const StopToken& stop) {
-  const auto start = Clock::now();
-  const auto deadline = localDeadline(config, start);
-  Result result;
-  result.method = "dd-alternating(compilation-flow)";
-  if (expansionCounts.size() != original.size()) {
-    throw CircuitError(
-        "ddCompilationFlowCheck: one expansion count per original gate "
-        "required");
-  }
-  std::size_t totalCompiled = 0;
-  for (const auto c : expansionCounts) {
-    totalCompiled += c;
-  }
-  if (totalCompiled != compiled.size()) {
-    throw CircuitError(
-        "ddCompilationFlowCheck: expansion counts do not cover the compiled "
-        "circuit");
-  }
-  Configuration flowConfig = config;
-  flowConfig.reconstructSwaps = false; // counts refer to the raw gate lists
-  const auto [a, b] = alignCircuits(original, compiled);
-  dd::Package package(
-      a.numQubits(), flowConfig.numericalTolerance,
-      packageConfigFor(flowConfig, stopOrDeadline(stop, deadline)));
-  adoptWarmSource(package, flowConfig);
-  TaskSide right(a, /*invert=*/true);
-  TaskSide left(b, /*invert=*/false);
-  Accumulator acc(package, flowConfig.recordTrace);
-  audit::DDCheckpoint checkpoint(config.auditLevel,
-                                 "dd-compilation-flow checkpoint");
-  const auto auditGate = [&]() {
-    if (checkpoint.enabled()) {
-      const std::array roots{acc.edge()};
-      checkpoint.postGate(package, roots);
-    }
-  };
-
-  try {
-    for (const auto count : expansionCounts) {
-      for (std::size_t i = 0; i < count; ++i) {
-        if (left.absorbSwaps()) {
-          acc.applyLeft(left.takeGateDD(package));
-          auditGate();
-        }
-      }
-      if (right.absorbSwaps()) {
-        acc.applyRight(right.takeGateDD(package));
-        auditGate();
-      }
-    }
-    while (left.absorbSwaps()) {
-      acc.applyLeft(left.takeGateDD(package));
-      auditGate();
-    }
-    while (right.absorbSwaps()) {
-      acc.applyRight(right.takeGateDD(package));
-      auditGate();
-    }
-
-    const auto tau = right.trackedPermutation()
-                         .compose(a.outputPermutation().inverse())
-                         .compose(b.outputPermutation())
-                         .compose(left.trackedPermutation().inverse());
-    for (const auto& [x, y] : tau.transpositions()) {
-      acc.applyRight(package.makeSwapDD(x, y));
-      auditGate();
-    }
-    const double relativePhase = b.globalPhase() - a.globalPhase();
-    if (relativePhase != 0.0) {
-      const auto& e = acc.edge();
-      acc.replace(
-          {e.n, e.w * std::exp(std::complex<double>{0.0, relativePhase})});
-    }
-    if (checkpoint.enabled()) {
-      const std::array roots{acc.edge()};
-      checkpoint.boundary(package, roots);
-    }
-    result.criterion = classify(package, acc.edge(), flowConfig, result);
-  } catch (const StopRequested&) {
-    result.criterion = stopAttribution(deadline);
-  } catch (const ResourceLimitError& e) {
-    result.peakNodes = acc.peak();
-    result.sizeTrace = acc.takeTrace();
-    return resourceExhausted(std::move(result), package, e, start);
-  }
-  recordCacheStats(package, result);
-  result.peakNodes = acc.peak();
-  result.sizeTrace = acc.takeTrace();
-  result.runtimeSeconds = secondsSince(start);
-  return result;
-}
-
 Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
                          const Configuration& config, const StopToken& stop) {
   const auto start = Clock::now();
@@ -645,7 +536,6 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
             return failIndex.load(std::memory_order_relaxed) < run ||
                    (shouldStop && shouldStop());
           }));
-      adoptWarmSource(package, config);
       // Per-worker checkpoint: packages are thread-local, so the audit walks
       // only structures owned by this thread.
       audit::DDCheckpoint checkpoint(config.auditLevel,

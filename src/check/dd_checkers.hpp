@@ -46,20 +46,6 @@ using StopToken = std::function<bool()>;
                                         const Configuration& config = {},
                                         const StopToken& stop = {});
 
-/// Compilation-flow aware alternating check (Burgholzer, Raymond, Wille,
-/// QCE 2020 — the "more sophisticated oracle" of Sec. 4.1): uses the
-/// per-gate expansion record produced by compile::compileForArchitecture to
-/// keep the two sides in exact lockstep — the i-th original gate is undone
-/// right after the expansionCounts[i] compiled gates realizing it.
-/// \pre neither circuit contains barriers/measurements, and
-///      sum(expansionCounts) equals the compiled circuit's operation count.
-[[nodiscard]] Result
-ddCompilationFlowCheck(const QuantumCircuit& original,
-                       const QuantumCircuit& compiled,
-                       const std::vector<std::size_t>& expansionCounts,
-                       const Configuration& config = {},
-                       const StopToken& stop = {});
-
 /// Random-stimuli simulation: runs both circuits on shared random input
 /// states; any fidelity below 1 proves non-equivalence, agreement on all
 /// runs yields ProbablyEquivalent (Burgholzer et al., ASP-DAC 2021).

@@ -87,6 +87,8 @@ std::size_t TaskPool::resolveSlots(const std::size_t configured) {
 }
 
 void TaskPool::enqueue(Task task) {
+  // The push below can fail to allocate; TaskGroup::submit rolls back.
+  VERIQC_FAULT_POINT(fault::points::kPoolEnqueue, fault::FaultKind::BadAlloc);
   {
     const support::LockGuard lock(mutex_);
     tasks_.push_back(std::move(task));

@@ -14,16 +14,12 @@ public:
       : in_(input), out_(input.numQubits(), input.name()),
         cnotOnly_(cnotOnly), decomposeSwaps_(decomposeSwaps) {}
 
-  QuantumCircuit run(ExpansionCounts* counts = nullptr) {
+  QuantumCircuit run() {
     out_.initialLayout() = in_.initialLayout();
     out_.outputPermutation() = in_.outputPermutation();
     out_.setGlobalPhase(in_.globalPhase());
     for (const auto& op : in_.ops()) {
-      const auto before = out_.size();
       handle(op);
-      if (counts != nullptr) {
-        counts->push_back(out_.size() - before);
-      }
     }
     return std::move(out_);
   }
@@ -465,9 +461,8 @@ private:
 } // namespace
 
 QuantumCircuit decomposeToCnot(const QuantumCircuit& circuit,
-                               const bool decomposeSwaps,
-                               ExpansionCounts* counts) {
-  return Decomposer(circuit, /*cnotOnly=*/true, decomposeSwaps).run(counts);
+                               const bool decomposeSwaps) {
+  return Decomposer(circuit, /*cnotOnly=*/true, decomposeSwaps).run();
 }
 
 QuantumCircuit decomposeForZX(const QuantumCircuit& circuit) {

@@ -17,20 +17,12 @@
 
 #include "ir/circuit.hpp"
 
-#include <vector>
-
 namespace veriqc::compile {
-
-/// Per-operation expansion record: produced[i] is the number of output
-/// operations generated for the i-th input operation. Feeds the
-/// compilation-flow verification scheme (Burgholzer et al., QCE 2020).
-using ExpansionCounts = std::vector<std::size_t>;
 
 /// Decompose to {any 1-qubit gate, CX}. Bare SWAPs become 3 CNOTs when
 /// `decomposeSwaps` (the mapper re-inserts SWAPs itself and wants them kept).
 [[nodiscard]] QuantumCircuit decomposeToCnot(const QuantumCircuit& circuit,
-                                             bool decomposeSwaps = true,
-                                             ExpansionCounts* counts = nullptr);
+                                             bool decomposeSwaps = true);
 
 /// Decompose just enough for the ZX converter: gates keep at most one
 /// control; bare SWAPs survive (they are wire crossings in a ZX-diagram).

@@ -73,8 +73,7 @@ std::vector<Qubit> placeLogicalQubits(const QuantumCircuit& circuit,
 
 QuantumCircuit mapCircuit(const QuantumCircuit& circuit,
                           const Architecture& arch,
-                          const MapperOptions& options,
-                          ExpansionCounts* counts) {
+                          const MapperOptions& options) {
   if (!circuit.initialLayout().isIdentity() ||
       !circuit.outputPermutation().isIdentity()) {
     throw CircuitError("mapCircuit: fold permutations before mapping");
@@ -119,19 +118,11 @@ QuantumCircuit mapCircuit(const QuantumCircuit& circuit,
   };
 
   for (const auto& op : circuit.ops()) {
-    const auto before = result.size();
-    const auto record = [&] {
-      if (counts != nullptr) {
-        counts->push_back(result.size() - before);
-      }
-    };
     if (op.type == OpType::Barrier) {
       result.barrier();
-      record();
       continue;
     }
     if (op.type == OpType::Measure) {
-      record();
       continue; // terminal measurement is re-derived from the permutation
     }
     const auto used = op.usedQubits();
@@ -144,7 +135,6 @@ QuantumCircuit mapCircuit(const QuantumCircuit& circuit,
         q = log2phys[q];
       }
       result.append(std::move(mapped));
-      record();
       continue;
     }
     if (used.size() != 2 || op.type != OpType::X || op.controls.size() != 1) {
@@ -162,77 +152,18 @@ QuantumCircuit mapCircuit(const QuantumCircuit& circuit,
       pc = path[path.size() - 2];
     }
     result.cx(pc, pt);
-    record();
   }
   result.outputPermutation() = Permutation{phys2log};
   return result;
 }
 
-namespace {
-/// Fold stage-2 per-op counts over the stage-1 expansion: the i-th input op
-/// expanded into counts1[i] intermediate ops, each of which expanded into
-/// some counts2 entries.
-ExpansionCounts foldCounts(const ExpansionCounts& counts1,
-                           const ExpansionCounts& counts2) {
-  ExpansionCounts result;
-  result.reserve(counts1.size());
-  std::size_t cursor = 0;
-  for (const auto produced : counts1) {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < produced; ++i) {
-      total += counts2.at(cursor++);
-    }
-    result.push_back(total);
-  }
-  return result;
-}
-} // namespace
-
 QuantumCircuit compileForArchitecture(const QuantumCircuit& circuit,
                                       const Architecture& arch,
-                                      const MapperOptions& options,
-                                      ExpansionCounts* counts) {
-  const auto folded = circuit.withExplicitPermutations();
-  ExpansionCounts stage1;
-  const auto decomposed =
-      decomposeToCnot(folded, /*decomposeSwaps=*/true,
-                      counts != nullptr ? &stage1 : nullptr);
-  ExpansionCounts stage2;
-  const auto mapped = mapCircuit(decomposed, arch, options,
-                                 counts != nullptr ? &stage2 : nullptr);
-  ExpansionCounts stage3;
-  auto compiled = decomposeToCnot(mapped, /*decomposeSwaps=*/true,
-                                  counts != nullptr ? &stage3 : nullptr);
+                                      const MapperOptions& options) {
+  const auto decomposed = decomposeToCnot(circuit.withExplicitPermutations());
+  const auto mapped = mapCircuit(decomposed, arch, options);
+  auto compiled = decomposeToCnot(mapped);
   compiled.setName(circuit.name() + "_compiled");
-  if (counts != nullptr) {
-    const auto viaMapping = foldCounts(stage1, foldCounts(stage2, stage3));
-    // Drop the leading entries for the explicit-permutation prefix SWAPs so
-    // counts align with the caller's original gate list; fold the prefix and
-    // suffix into the first/last original gate instead.
-    const std::size_t prefix = folded.size() - circuit.size();
-    *counts = viaMapping;
-    if (prefix > 0 && !viaMapping.empty()) {
-      // initial-layout SWAPs come first, output-permutation SWAPs last.
-      const std::size_t pre = circuit.initialLayout().transpositions().size();
-      ExpansionCounts adjusted;
-      std::size_t bulk = 0;
-      for (std::size_t i = 0; i < pre; ++i) {
-        bulk += viaMapping.at(i);
-      }
-      for (std::size_t i = pre; i < pre + circuit.size(); ++i) {
-        adjusted.push_back(viaMapping.at(i));
-      }
-      for (std::size_t i = pre + circuit.size(); i < viaMapping.size(); ++i) {
-        if (!adjusted.empty()) {
-          adjusted.back() += viaMapping.at(i);
-        }
-      }
-      if (!adjusted.empty()) {
-        adjusted.front() += bulk;
-      }
-      *counts = std::move(adjusted);
-    }
-  }
   return compiled;
 }
 

@@ -25,20 +25,15 @@ struct MapperOptions {
 /// \throws CircuitError on unsupported gates or an undersized architecture.
 [[nodiscard]] QuantumCircuit mapCircuit(const QuantumCircuit& circuit,
                                         const Architecture& architecture,
-                                        const MapperOptions& options = {},
-                                        ExpansionCounts* counts = nullptr);
+                                        const MapperOptions& options = {});
 
 /// The full compilation flow of the case study: decompose to {1q, CX},
 /// map to the device, and decompose the inserted SWAPs into CNOTs
 /// (mirroring qiskit-terra's O1 output that QCEC's SWAP reconstruction
 /// then undoes).
-/// When `counts` is given it receives, per unitary gate of the *input*
-/// circuit, the number of gates the compiled output realizes it with — the
-/// gate correspondence the compilation-flow verification scheme exploits.
 [[nodiscard]] QuantumCircuit
 compileForArchitecture(const QuantumCircuit& circuit,
                        const Architecture& architecture,
-                       const MapperOptions& options = {},
-                       ExpansionCounts* counts = nullptr);
+                       const MapperOptions& options = {});
 
 } // namespace veriqc::compile

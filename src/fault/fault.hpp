@@ -4,7 +4,7 @@
 /// The firewall, the resource governors and the manager's degradation ladder
 /// are only worth anything if every failure path has actually been walked.
 /// This library plants named injection points in the hot layers (slab
-/// growth, table rebuilds, worklist drains, task start, report
+/// growth, table rebuilds, worklist drains, task enqueue and start, report
 /// serialization); each point is a single branch on a relaxed atomic while
 /// disarmed, and throws a configured exception kind when an armed plan says
 /// it is this hit's turn to fail.
@@ -66,16 +66,16 @@ inline constexpr const char* kDDUniqueRebuild = "dd.unique_rebuild";
 inline constexpr const char* kDDRealGrow = "dd.real_grow";
 inline constexpr const char* kDDComputeAlloc = "dd.compute_alloc";
 inline constexpr const char* kDDGc = "dd.gc";
-inline constexpr const char* kDDImport = "dd.import";
 inline constexpr const char* kZXDrain = "zx.drain";
+inline constexpr const char* kPoolEnqueue = "pool.enqueue";
 inline constexpr const char* kPoolTaskStart = "pool.task_start";
 inline constexpr const char* kCheckReport = "check.report";
 } // namespace points
 
 inline constexpr std::array<const char*, 9> kKnownPoints = {
     points::kDDSlabGrow,    points::kDDUniqueRebuild, points::kDDRealGrow,
-    points::kDDComputeAlloc, points::kDDGc,           points::kDDImport,
-    points::kZXDrain,       points::kPoolTaskStart,   points::kCheckReport,
+    points::kDDComputeAlloc, points::kDDGc,           points::kZXDrain,
+    points::kPoolEnqueue,   points::kPoolTaskStart,   points::kCheckReport,
 };
 
 class Registry;

@@ -6,8 +6,8 @@
 /// ingress both feed submitLine(). The lifecycle of one job:
 ///
 ///   submitLine -> parse (strict protocol) -> admission control -> queue
-///     -> worker: parse circuits, adopt warm gate cache, run a per-job
-///        EquivalenceCheckingManager on the shared TaskPool
+///     -> worker: parse circuits, run a per-job EquivalenceCheckingManager
+///        on the shared TaskPool
 ///     -> report sink (one schema-valid report line, job object attached)
 ///
 /// Admission control rejects — with a structured reason, never by OOMing —
@@ -21,9 +21,6 @@
 ///  - one TaskPool: every manager's parallel rounds run on it
 ///    (Manager::useTaskPool), so the daemon's thread count is fixed instead
 ///    of per-job pools churning threads;
-///  - one SharedGateCache: immutable per-shape gate-DD snapshots, published
-///    copy-on-write and leased via shared_ptr (the epoch scheme) — a job's
-///    package teardown can never invalidate a concurrent job's lease;
 ///  - one CounterRegistry: per-job counters merge into the daemon metrics
 ///    (metricsJson), alongside serve/-prefixed service counters.
 ///
@@ -35,7 +32,6 @@
 
 #include "check/result.hpp"
 #include "check/task_pool.hpp"
-#include "dd/shared_cache.hpp"
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "serve/job.hpp"
@@ -44,16 +40,11 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
-
-namespace veriqc {
-class QuantumCircuit;
-} // namespace veriqc
 
 namespace veriqc::check {
 class EquivalenceCheckingManager;
@@ -82,7 +73,8 @@ struct ServiceLimits {
   std::size_t maxLineBytes = 1U << 20U;
   /// Permit job-scoped fault plans (tests); rejected otherwise.
   bool allowFaultPlans = false;
-  /// Share gate-DD constructions across same-shape jobs.
+  /// Ignored: nothing reads it. Kept only so that callers which still set
+  /// it (the end-to-end benchmark's stream workload) compile.
   bool useSharedGateCache = true;
 };
 
@@ -135,11 +127,6 @@ public:
 
   [[nodiscard]] ServiceStats stats() const;
 
-  /// The shared snapshot cache (tests inspect epochs/entries).
-  [[nodiscard]] dd::SharedGateCache& sharedGateCache() noexcept {
-    return sharedCache_;
-  }
-
 private:
   bool admitAndQueue(JobRequest&& request);
   void workerLoop(std::size_t slot);
@@ -147,18 +134,12 @@ private:
   void emitRejection(const JobRequest& request, RejectReason reason,
                      const std::string& detail);
   void emitReport(const JobRequest& request, obs::Json report);
-  /// Build (or extend) the shape's warm snapshot from this job's gates and
-  /// return the lease the job's packages adopt.
-  std::shared_ptr<const dd::Package>
-  warmSourceFor(const QuantumCircuit& c1, const QuantumCircuit& c2,
-                const check::Configuration& config);
 
   ServiceLimits limits_;
   check::Configuration defaults_;
   ReportSink sink_;
 
   check::TaskPool pool_;
-  dd::SharedGateCache sharedCache_;
 
   // Lock order (outermost first): shutdownMutex_ -> mutex_ -> metricsMutex_.
   // Never acquire a mutex earlier in this list while holding a later one.

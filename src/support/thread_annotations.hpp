@@ -3,11 +3,11 @@
 ///        contracts.
 ///
 /// Every mutex-protected structure of the concurrent layers (TaskPool,
-/// SharedGateCache, JobService, PhaseTimer, fault::Registry)
-/// declares which capability guards which field (`VERIQC_GUARDED_BY`) and
-/// which functions demand or acquire capabilities (`VERIQC_REQUIRES`,
-/// `VERIQC_ACQUIRE`/`VERIQC_RELEASE`, `VERIQC_EXCLUDES`). Under Clang the
-/// contracts are machine-checked at compile time:
+/// JobService, PhaseTimer, fault::Registry) declares which capability guards
+/// which field (`VERIQC_GUARDED_BY`) and which functions demand or acquire
+/// capabilities (`VERIQC_REQUIRES`, `VERIQC_ACQUIRE`/`VERIQC_RELEASE`,
+/// `VERIQC_EXCLUDES`). Under Clang the contracts are machine-checked at
+/// compile time:
 ///
 ///     clang++ ... -Wthread-safety -Werror=thread-safety
 ///

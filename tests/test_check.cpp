@@ -182,76 +182,6 @@ TEST(AlternatingTest, ExternalStopWithoutDeadlineIsCancelled) {
   EXPECT_EQ(result.criterion, EquivalenceCriterion::Cancelled);
 }
 
-TEST(CompilationFlowTest, VerifiesCompiledCircuitsInLockstep) {
-  for (const auto* name : {"ghz", "qft", "grover"}) {
-    QuantumCircuit original = std::string(name) == "ghz" ? ghz(5)
-                              : std::string(name) == "qft"
-                                  ? circuits::qft(5)
-                                  : circuits::grover(4, 6);
-    compile::ExpansionCounts counts;
-    const auto compiled = compile::compileForArchitecture(
-        original, Architecture::linear(8), {}, &counts);
-    ASSERT_EQ(counts.size(), original.size()) << name;
-    std::size_t total = 0;
-    for (const auto c : counts) {
-      total += c;
-    }
-    ASSERT_EQ(total, compiled.size()) << name;
-    const auto result =
-        ddCompilationFlowCheck(original, compiled, counts, quickConfig());
-    EXPECT_TRUE(provedEquivalent(result.criterion))
-        << name << ": " << result.toString();
-  }
-}
-
-TEST(CompilationFlowTest, DetectsErrors) {
-  compile::ExpansionCounts counts;
-  const auto original = ghz(5);
-  auto compiled = compile::compileForArchitecture(
-      original, Architecture::linear(8), {}, &counts);
-  // Flip one CNOT in place (keeps the op count, so counts stay valid).
-  for (auto& op : compiled.ops()) {
-    if (op.type == OpType::X && op.controls.size() == 1) {
-      std::swap(op.controls[0], op.targets[0]);
-      break;
-    }
-  }
-  const auto result =
-      ddCompilationFlowCheck(original, compiled, counts, quickConfig());
-  EXPECT_EQ(result.criterion, EquivalenceCriterion::NotEquivalent);
-}
-
-TEST(CompilationFlowTest, RejectsInconsistentCounts) {
-  const auto original = ghz(3);
-  const auto compiled =
-      compile::compileForArchitecture(original, Architecture::linear(5));
-  EXPECT_THROW((void)ddCompilationFlowCheck(original, compiled, {1, 1},
-                                            quickConfig()),
-               CircuitError);
-  const std::vector<std::size_t> wrongTotal(original.size(), 0);
-  EXPECT_THROW((void)ddCompilationFlowCheck(original, compiled, wrongTotal,
-                                            quickConfig()),
-               CircuitError);
-}
-
-TEST(CompilationFlowTest, LockstepKeepsDiagramSmall) {
-  compile::ExpansionCounts counts;
-  const auto original = circuits::qft(6);
-  const auto compiled = compile::compileForArchitecture(
-      original, Architecture::ibmManhattanLike(), {}, &counts);
-  auto config = quickConfig();
-  config.recordTrace = true;
-  const auto flow =
-      ddCompilationFlowCheck(original, compiled, counts, config);
-  ASSERT_TRUE(provedEquivalent(flow.criterion));
-  const auto plain = ddAlternatingCheck(original, compiled, config);
-  ASSERT_TRUE(provedEquivalent(plain.criterion));
-  // Lockstep keeps the diagram within the same order of magnitude as the
-  // proportional oracle (it cannot absorb SWAPs, so it is not strictly
-  // smaller).
-  EXPECT_LE(flow.peakNodes, 10 * plain.peakNodes + 256);
-}
-
 // --- simulation checker --------------------------------------------------------
 
 class StimuliKindTest : public ::testing::TestWithParam<sim::StimuliKind> {};

@@ -325,39 +325,6 @@ TEST(DDStopAttributionTest, AbortedAlternatingRunKeepsTruncatedTrace) {
   EXPECT_GT(result.peakNodes, 0U);
 }
 
-TEST(DDStopAttributionTest, CompilationFlowSiblingCancellationIsNotATimeout) {
-  const auto original = circuits::ghz(3);
-  const auto compiled = original;
-  const std::vector<std::size_t> counts(original.size(), 1);
-  const auto result = ddCompilationFlowCheck(original, compiled, counts,
-                                             quickConfig(),
-                                             [] { return true; });
-  EXPECT_EQ(result.criterion, EquivalenceCriterion::Cancelled)
-      << result.toString();
-}
-
-TEST(DDStopAttributionTest, CompilationFlowPollsInsideLargeGroups) {
-  // One original gate expanding into a huge compiled group: a checker that
-  // polls only once per group would apply the whole group — and with it the
-  // entire (equivalent) circuit — before ever seeing the second token call,
-  // returning Equivalent instead of honoring the stop.
-  QuantumCircuit original(1);
-  original.h(0);
-  QuantumCircuit compiled(1);
-  compiled.h(0);
-  for (int i = 0; i < 300; ++i) {
-    compiled.x(0);
-    compiled.x(0);
-  }
-  const std::vector<std::size_t> counts = {compiled.size()};
-  std::size_t polls = 0;
-  const auto result = ddCompilationFlowCheck(
-      original, compiled, counts, quickConfig(),
-      [&polls] { return ++polls > 1; });
-  EXPECT_EQ(result.criterion, EquivalenceCriterion::Cancelled)
-      << result.toString();
-}
-
 TEST(ManagerCancellationTest, SiblingVerdictRecordsCancelledSlot) {
   // Parallel manager with no deadline: the alternating checker proves the
   // pair equivalent in milliseconds while the simulation engine faces far
@@ -470,14 +437,12 @@ constexpr auto kLatencySlack =
 struct CompiledPair {
   QuantumCircuit original;
   QuantumCircuit compiled;
-  compile::ExpansionCounts counts;
 };
 
 CompiledPair compiledPair(QuantumCircuit original) {
-  CompiledPair pair{std::move(original), QuantumCircuit(1), {}};
+  CompiledPair pair{std::move(original), QuantumCircuit(1)};
   pair.compiled = compile::compileForArchitecture(
-      pair.original, compile::Architecture::ibmManhattanLike(), {},
-      &pair.counts);
+      pair.original, compile::Architecture::ibmManhattanLike());
   return pair;
 }
 
@@ -520,10 +485,6 @@ TEST(DeadlineLatencyTest, EveryDDEngineStopsWithinTheBound) {
   const std::vector<std::pair<std::string, std::function<Result()>>> engines = {
       {"alternating", [&] {
          return ddAlternatingCheck(pair.original, pair.compiled, config);
-       }},
-      {"compilation-flow", [&] {
-         return ddCompilationFlowCheck(pair.original, pair.compiled,
-                                       pair.counts, config);
        }},
       {"construction", [&] {
          return ddConstructionCheck(pair.original, pair.compiled, config);

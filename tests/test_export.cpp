@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 namespace veriqc {
 namespace {
@@ -44,10 +48,13 @@ TEST(DDExportTest, ZeroEdgeRendersEmptyGraph) {
 TEST(DDExportTest, WriteDotFile) {
   dd::Package p(2);
   auto e = sim::buildUnitaryDD(p, circuits::ghz(2));
-  const auto path = ::testing::TempDir() + "/veriqc_dd.dot";
+  // Per-process name: ctest runs test cases as concurrent processes.
+  const auto path = ::testing::TempDir() + "veriqc_dd_" +
+                    std::to_string(::getpid()) + ".dot";
   dd::writeDot(p, e, path);
   std::ifstream in(path);
   EXPECT_TRUE(in.good());
+  std::remove(path.c_str());
   p.decRef(e);
 }
 

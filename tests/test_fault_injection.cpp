@@ -9,7 +9,6 @@
 #include "check/task_pool.hpp"
 #include "circuits/benchmarks.hpp"
 #include "dd/package.hpp"
-#include "dd/shared_cache.hpp"
 #include "fault/fault.hpp"
 #include "sim/dd_simulator.hpp"
 
@@ -19,7 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -51,20 +49,6 @@ Configuration alternatingOnly() {
   config.runSimulation = false;
   config.parallel = false;
   return config;
-}
-
-/// A warm gate snapshot holding the gate DDs of `circuit`, published through
-/// a dd::SharedGateCache as veriqcd does: a package adopting it imports its
-/// gate DDs instead of building them.
-std::shared_ptr<const dd::Package>
-warmSnapshotOf(const QuantumCircuit& circuit) {
-  dd::SharedGateCache cache;
-  dd::Package donor(circuit.numQubits(), dd::RealTable::kDefaultTolerance);
-  for (const auto& op : circuit.ops()) {
-    (void)donor.makeOperationDD(op);
-  }
-  cache.publish(donor);
-  return cache.acquire(circuit.numQubits(), dd::RealTable::kDefaultTolerance);
 }
 
 } // namespace
@@ -222,14 +206,6 @@ std::vector<SweepCase> sweepCases() {
   {
     SweepCase c{fault::points::kDDGc, "dd.gc:after=2:times=1",
                 alternatingOnly(), circuits::ghz(4), circuits::ghz(4)};
-    cases.push_back(std::move(c));
-  }
-  {
-    // The import point runs when a gate-cache miss adopts a warm gate DD.
-    auto config = alternatingOnly();
-    config.warmGateSource = warmSnapshotOf(circuits::qft(5));
-    SweepCase c{fault::points::kDDImport, "dd.import:times=1",
-                std::move(config), circuits::qft(5), circuits::qft(5)};
     cases.push_back(std::move(c));
   }
   {
@@ -474,72 +450,6 @@ TEST(DegradationLadderTest, NoRetryAfterDefinitiveVerdict) {
   EXPECT_TRUE(combined.attempts.empty());
 }
 
-// --- importMatrix exception safety -------------------------------------------
-
-TEST(ImportFaultTest, AbortedImportLeavesBothPackagesAuditClean) {
-  dd::Package src(4);
-  dd::mEdge e = src.makeIdent();
-  src.incRef(e);
-  const auto circuit = circuits::qft(4);
-  for (const auto& op : circuit.ops()) {
-    const auto next = src.multiply(src.makeOperationDD(op), e);
-    src.incRef(next);
-    src.decRef(e);
-    e = next;
-    src.garbageCollect();
-  }
-  const std::size_t srcNodes = src.nodeCount(e);
-  ASSERT_GT(srcNodes, 4U);
-
-  dd::Package dst(4);
-  {
-    fault::ScopedPlan plan("dd.import:after=2:times=1");
-    EXPECT_THROW(dst.importMatrix(src, e), std::bad_alloc);
-  }
-  // The source was read-only throughout: diagram and invariants intact.
-  const std::array srcRoots{e};
-  const auto srcReport = audit::auditPackage(src, srcRoots);
-  EXPECT_TRUE(srcReport.empty()) << srcReport.toString();
-  EXPECT_EQ(src.nodeCount(e), srcNodes);
-  // The destination holds orphaned (ref-0) partial nodes but no broken
-  // structure; a forced collection reclaims them.
-  const auto dstReport = audit::auditPackage(dst);
-  EXPECT_TRUE(dstReport.empty()) << dstReport.toString();
-  dst.garbageCollect(true);
-  // Recovery: the disarmed retry imports the full diagram.
-  const auto imported = dst.importMatrix(src, e);
-  dst.incRef(imported);
-  EXPECT_EQ(dst.nodeCount(imported), srcNodes);
-  const std::array dstRoots{imported};
-  const auto recovered = audit::auditPackage(dst, dstRoots);
-  EXPECT_TRUE(recovered.empty()) << recovered.toString();
-  for (std::size_t r = 0; r < 16; ++r) {
-    EXPECT_NEAR(std::abs(dst.getEntry(imported, r, 0) - src.getEntry(e, r, 0)),
-                0.0, 1e-12);
-  }
-}
-
-TEST(ImportFaultTest, WarmImportFaultDegradesAndRecovers) {
-  // Fires while a gate-cache miss imports a gate DD from the warm snapshot:
-  // the partial import must not leak into the check (ASan-checked), and the
-  // ladder's retry adopts the same snapshot cleanly.
-  auto config = alternatingOnly();
-  const auto circuit = circuits::qft(5);
-  config.warmGateSource = warmSnapshotOf(circuit);
-  config.faultPlan = "dd.import:after=3:times=1";
-  config.engineRetryLimit = 1;
-  EquivalenceCheckingManager manager(circuit, circuit, config);
-  const auto combined = manager.run();
-  EXPECT_EQ(combined.criterion, EquivalenceCriterion::Equivalent);
-  EXPECT_DOUBLE_EQ(combined.counters.value("fault/dd.import.fired"), 1.0);
-  const auto& slot = manager.engineResults()[0];
-  ASSERT_EQ(slot.attempts.size(), 2U);
-  EXPECT_EQ(slot.attempts[0].criterion, "resource_exhausted");
-  EXPECT_EQ(slot.attempts[1].degradation, "gc-tight");
-  EXPECT_EQ(slot.attempts[1].criterion, "equivalent");
-  EXPECT_GT(slot.counters.value("dd.gate_cache.warm_hits"), 0.0);
-}
-
 // --- task-pool exception accounting ------------------------------------------
 
 TEST(TaskPoolFaultTest, SecondaryExceptionsAreCountedNotDropped) {
@@ -563,17 +473,23 @@ TEST(TaskPoolFaultTest, SecondaryExceptionsAreCountedNotDropped) {
 }
 
 TEST(TaskPoolFaultTest, SubmitFailureRollsBackPendingCount) {
-  // A task_start fault cannot reach enqueue(), so exercise the rollback via
-  // wait(): if pending_ leaked on a submission path, wait() would hang. The
-  // observable contract is that wait() returns after the successful tasks.
+  // The 4th enqueue fails to allocate. submit() must roll its pending count
+  // back: a leaked count would block wait() forever on a task that never
+  // reached the queue.
   TaskPool pool(2);
   TaskGroup group(pool);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    group.submit([&ran] { ran.fetch_add(1); });
+  {
+    fault::ScopedPlan plan("pool.enqueue:after=3:times=1");
+    for (int i = 0; i < 3; ++i) {
+      group.submit([&ran] { ran.fetch_add(1); });
+    }
+    EXPECT_THROW(group.submit([&ran] { ran.fetch_add(1); }), std::bad_alloc);
+    EXPECT_EQ(registry().firedCount(fault::points::kPoolEnqueue), 1U);
   }
   group.wait();
-  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(group.skippedTasks(), 0U);
 }
 
 TEST(TaskPoolFaultTest, StimulusWorkerDefectSurfacesAsEngineError) {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+
+#include <unistd.h>
 
 namespace veriqc {
 namespace {
@@ -316,9 +319,12 @@ TEST(QasmWriterTest, RejectsTooManyControls) {
 
 TEST(QasmWriterTest, FileRoundTrip) {
   const auto original = circuits::ghz(3);
-  const std::string path = ::testing::TempDir() + "/veriqc_ghz.qasm";
+  // Per-process name: ctest runs test cases as concurrent processes.
+  const std::string path = ::testing::TempDir() + "veriqc_ghz_" +
+                           std::to_string(::getpid()) + ".qasm";
   qasm::writeFile(original, path);
   const auto reparsed = qasm::parseFile(path);
+  std::remove(path.c_str());
   EXPECT_EQ(reparsed.gateCount(), original.gateCount());
 }
 

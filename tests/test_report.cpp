@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace veriqc;
 using namespace veriqc::check;
 using veriqc::obs::Json;
@@ -293,7 +295,9 @@ TEST(LiveReportTest, ManagerRunSerializesParsesAndMatchesEngineResults) {
   EXPECT_TRUE(validateRunReport(report).empty());
 
   // The document survives a disk round trip bit-for-bit.
-  const auto path = std::string(::testing::TempDir()) + "live_report.json";
+  // Per-process name: ctest runs test cases as concurrent processes.
+  const auto path = std::string(::testing::TempDir()) + "live_report_" +
+                    std::to_string(::getpid()) + ".json";
   writeRunReport(report, path);
   const auto reparsed = Json::parse(readFile(path));
   EXPECT_EQ(reparsed, report);

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
+
+#include <unistd.h>
 
 namespace veriqc {
 namespace {
@@ -193,12 +196,15 @@ TEST(RevLibFuzzTest, EveryPrefixParsesOrThrowsParseError) {
 }
 
 TEST(RevLibTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/veriqc_test.real";
+  // Per-process name: ctest runs test cases as concurrent processes.
+  const std::string path = ::testing::TempDir() + "veriqc_test_" +
+                           std::to_string(::getpid()) + ".real";
   {
     std::ofstream out(path);
     out << ".numvars 2\n.variables a b\nt2 a b\n";
   }
   const auto c = qasm::parseRealFile(path);
+  std::remove(path.c_str());
   EXPECT_EQ(c.size(), 1U);
   EXPECT_THROW((void)qasm::parseRealFile("/nonexistent.real"),
                std::runtime_error);
