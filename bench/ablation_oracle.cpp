@@ -2,18 +2,21 @@
 /// \brief Ablation of the alternating checker's application oracle
 ///        (Sec. 4.1: "the strategy when to choose gates from which circuit
 ///        is dictated by an oracle"): naive vs. proportional vs. lookahead,
-///        measured on compiled-circuit verification instances. The `race`
-///        column is the manager's parallel alternating-only run, which races
-///        the proportional and lookahead oracles on two cores and keeps the
-///        first verdict; `won` names the oracle that delivered it.
+///        measured on compiled-circuit verification instances. Per oracle it
+///        prints the runtime, `nodes` (the package's slab occupancy before
+///        GC, which clusters at the 65,536-node GC threshold) and `peak`
+///        (the largest diagram the check built, max(sizeTrace), from a
+///        second, traced run so the per-gate node count stays out of the
+///        timing).
 #include "table_common.hpp"
 
 #include "check/dd_checkers.hpp"
-#include "check/manager.hpp"
 #include "circuits/benchmarks.hpp"
 #include "compile/architecture.hpp"
 #include "compile/mapper.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 int main() {
@@ -34,9 +37,9 @@ int main() {
 
   std::printf("\nAblation: alternating-checker oracle strategies "
               "(equivalent compiled instances)\n");
-  std::printf("%-20s %7s | %10s %10s | %10s %10s | %10s %10s | %10s %5s\n",
-              "benchmark", "|G'|", "naive[s]", "nodes", "prop[s]", "nodes",
-              "look[s]", "nodes", "race[s]", "won");
+  std::printf("%-20s %7s | %9s %7s %6s | %9s %7s %6s | %9s %7s %6s\n",
+              "benchmark", "|G'|", "naive[s]", "nodes", "peak", "prop[s]",
+              "nodes", "peak", "look[s]", "nodes", "peak");
   for (const auto& original : originals) {
     const auto compiled = compile::compileForArchitecture(original, arch);
     std::printf("%-20s %7zu |", original.name().c_str(),
@@ -44,30 +47,27 @@ int main() {
     for (const auto oracle :
          {check::OracleStrategy::Naive, check::OracleStrategy::Proportional,
           check::OracleStrategy::Lookahead}) {
-      check::Configuration config;
-      config.oracle = oracle;
-      const auto deadline =
-          std::chrono::steady_clock::now() + bench::benchTimeout();
-      const auto result =
-          check::ddAlternatingCheck(original, compiled, config, [deadline] {
-            return std::chrono::steady_clock::now() >= deadline;
-          });
-      std::printf(" %9.3f%s %10zu |", result.runtimeSeconds,
+      const auto run = [&](const bool recordTrace) {
+        check::Configuration config;
+        config.oracle = oracle;
+        config.recordTrace = recordTrace;
+        const auto deadline =
+            std::chrono::steady_clock::now() + bench::benchTimeout();
+        const check::StopToken stop = [deadline] {
+          return std::chrono::steady_clock::now() >= deadline;
+        };
+        return check::ddAlternatingCheck(original, compiled, config, stop);
+      };
+      const auto result = run(false);
+      const auto trace = run(true).sizeTrace;
+      const std::size_t peak =
+          trace.empty() ? 0 : *std::max_element(trace.begin(), trace.end());
+      std::printf(" %8.3f%s %7zu %6zu |", result.runtimeSeconds,
                   check::provedEquivalent(result.criterion) ? " " : "!",
-                  result.peakNodes);
+                  result.peakNodes, peak);
       std::fflush(stdout);
     }
-    // Both oracles raced through the manager (no simulation slot).
-    check::Configuration raceConfig;
-    raceConfig.runSimulation = false;
-    raceConfig.timeout = bench::benchTimeout();
-    const auto race = check::checkEquivalence(original, compiled, raceConfig);
-    const char* won = race.method == "dd-alternating(lookahead)"      ? "look"
-                      : race.method == "dd-alternating(proportional)" ? "prop"
-                                                                      : "-";
-    std::printf(" %9.3f%s %5s\n", race.runtimeSeconds,
-                check::provedEquivalent(race.criterion) ? " " : "!", won);
-    std::fflush(stdout);
+    std::printf("\n");
   }
   std::printf("('!' marks runs without an equivalence verdict, e.g. "
               "timeouts)\n");

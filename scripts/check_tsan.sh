@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Run the thread-stress suites under ThreadSanitizer (the tsan CMake preset).
 # tests/test_threading.cpp is the main workload: the parallel manager's
-# racing engines (including the three-slot race and its sibling
-# cancellation), the multi-threaded
-# simulation worker pool (including oversubscription and mid-flight
-# cancellation) and several concurrent managers at once.
+# racing engines (including the sibling cancellation of the two-slot DD
+# run), the multi-threaded simulation worker pool (including
+# oversubscription and mid-flight cancellation) and several concurrent
+# managers at once.
 # tests/test_task_pool.cpp drives the FIFO pool's queue/wait/wake
 # handshakes, group isolation and exception containment directly.
 # tests/test_fault_injection.cpp adds the degradation-ladder retry rounds,
@@ -13,10 +13,10 @@
 # the veriqcd JobService: concurrent submitting clients, shutdown cancelling
 # in-flight jobs, and racing shutdown() callers (the double-join regression).
 # The EnqueueWakesASleepingWorker missed-wakeup regression runs here too, as
-# do the manager's raced-lookahead slot
-# tests of tests/test_check.cpp (private and injected pools), and the
-# parallel manager's deadline-latency test of tests/test_cross_paradigm.cpp
-# (four racing slots stopped by one shared token). Any TSan report fails
+# do the manager's slot-layout tests of tests/test_check.cpp (LookaheadRaceTest:
+# one alternating slot on private and injected pools), and the parallel
+# manager's deadline-latency test of tests/test_cross_paradigm.cpp (three
+# racing slots stopped by one shared token). Any TSan report fails
 # the run.
 #
 # Usage: scripts/check_tsan.sh [ctest-regex]

@@ -83,8 +83,7 @@ EOF
 # Every injection point appears at least once with its firing asserted from
 # the run report; retries are enabled so the degradation ladder gets to
 # convert engine failures back into verdicts. (check.report kills the report
-# itself, and pool.enqueue fails a submit, which the manager does not
-# absorb, so their firing is asserted by the fault test suite instead.)
+# itself, so its firing is asserted by the fault test suite instead.)
 cases=(
   "slab-grow|qft|dd|dd.slab_grow:after=5:times=2|0 2|dd.slab_grow"
   "unique-rebuild|deep|dd|dd.unique_rebuild:times=1|0 2|dd.unique_rebuild"
@@ -93,6 +92,7 @@ cases=(
   "gc|qft|dd|dd.gc:times=1:throw=resource_limit|0 2|dd.gc"
   "zx-drain|qft|zx|zx.drain:times=1|0 2|zx.drain"
   "pool-task|qft|both|pool.task_start:times=2|0 2|pool.task_start"
+  "pool-enqueue|qft|both|pool.enqueue:times=1|0 2|pool.enqueue"
   "report|qft|both|check.report:times=1|0 2 3|-"
   "multi-point|qft|dd|dd.slab_grow:after=10:times=1,dd.gc:times=1|0 2|dd.slab_grow"
 )

@@ -169,6 +169,23 @@ private:
   std::vector<std::size_t> trace_;
 };
 
+/// Schedule weight of a single-qubit gate under the proportional oracle.
+/// Above zero, so identical circuits still advance in strict lockstep; small,
+/// so a side does not run ahead on the single-qubit gates a compiler
+/// re-expands while the other side's entangling gates wait.
+constexpr double kSingleQubitWeight = 0.01;
+
+/// Schedule weight of one gate: SWAPs are absorbed by the permutation
+/// tracker for free, and only gates on two or more qubits (controls plus
+/// targets) move `G'·G†` away from the identity.
+double scheduleWeight(const Operation& op) {
+  if (op.isBareSwap()) {
+    return 0.0;
+  }
+  return op.controls.size() + op.targets.size() >= 2 ? 1.0
+                                                       : kSingleQubitWeight;
+}
+
 /// One side of the alternating scheme: a gate queue plus the tracked
 /// wire-to-logical permutation.
 class TaskSide {
@@ -178,15 +195,18 @@ public:
     for (const auto& op : circuit.ops()) {
       if (!op.isNonUnitary()) {
         ops_.push_back(&op);
+        totalWeight_ += scheduleWeight(op);
       }
     }
   }
 
   [[nodiscard]] bool done() const noexcept { return next_ >= ops_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return ops_.size() - next_;
+
+  /// Applied share of the side's schedule weight (the proportional oracle's
+  /// progress measure); a side of zero total weight counts as done.
+  [[nodiscard]] double progress() const noexcept {
+    return totalWeight_ > 0.0 ? appliedWeight_ / totalWeight_ : 1.0;
   }
-  [[nodiscard]] std::size_t total() const noexcept { return ops_.size(); }
 
   /// Absorb any pending SWAP gates into the permutation tracker. Returns
   /// true if a non-SWAP gate is pending afterwards.
@@ -198,16 +218,14 @@ public:
     return !done();
   }
 
-  /// DD of the next gate (inverted for the right-hand side), consuming it.
+  /// DD of the next gate, consuming it.
   dd::mEdge takeGateDD(dd::Package& package) {
-    const Operation* op = ops_[next_++];
-    if (invert_) {
-      return package.makeOperationDD(op->inverse(), perm_);
-    }
-    return package.makeOperationDD(*op, perm_);
+    auto gate = peekGateDD(package);
+    consume();
+    return gate;
   }
 
-  /// DD of the next gate without consuming it (for the lookahead oracle).
+  /// DD of the next gate (inverted for the right-hand side), not consumed.
   dd::mEdge peekGateDD(dd::Package& package) {
     const Operation* op = ops_[next_];
     if (invert_) {
@@ -216,7 +234,7 @@ public:
     return package.makeOperationDD(*op, perm_);
   }
 
-  void consume() { ++next_; }
+  void consume() { appliedWeight_ += scheduleWeight(*ops_[next_++]); }
 
   [[nodiscard]] const Permutation& trackedPermutation() const noexcept {
     return perm_;
@@ -225,6 +243,8 @@ public:
 private:
   std::vector<const Operation*> ops_;
   std::size_t next_ = 0;
+  double totalWeight_ = 0.0;
+  double appliedWeight_ = 0.0;
   Permutation perm_;
   bool invert_;
 };
@@ -409,21 +429,14 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
         // Finish the left side first, then unwind the right side.
         acc.applyLeft(left.takeGateDD(package));
         break;
-      case OracleStrategy::Proportional: {
+      case OracleStrategy::Proportional:
         // Choose the side that lags behind its proportional schedule.
-        const double progressLeft =
-            static_cast<double>(left.total() - left.remaining()) /
-            static_cast<double>(left.total());
-        const double progressRight =
-            static_cast<double>(right.total() - right.remaining()) /
-            static_cast<double>(right.total());
-        if (progressLeft <= progressRight) {
+        if (left.progress() <= right.progress()) {
           acc.applyLeft(left.takeGateDD(package));
         } else {
           acc.applyRight(right.takeGateDD(package));
         }
         break;
-      }
       case OracleStrategy::Lookahead: {
         const auto gateLeft = left.peekGateDD(package);
         const auto gateRight = right.peekGateDD(package);

@@ -87,13 +87,10 @@ std::string engineName(const EngineKind kind, const Configuration& config) {
 ///    halve a finite node budget — trades throughput for a tight memory
 ///    band, the right response to bad_alloc/budget failures.
 ///  - "sim-fallback": replace the alternating scheme by random-stimuli
-///    simulation, whose diagrams are vectors instead of matrices. Skipped
-///    when `simFallback` is false (the raced lookahead slot, whose fallback
-///    would only duplicate the simulation slot beside it).
+///    simulation, whose diagrams are vectors instead of matrices.
 ///  - "retry": nothing left to degrade; try again as-is (the failure may
 ///    have been transient, e.g. a bounded injected fault).
-std::string degradeStep(EngineKind& kind, Configuration& config,
-                        const bool simFallback) {
+std::string degradeStep(EngineKind& kind, Configuration& config) {
   if (config.simulationThreads != 1) {
     config.simulationThreads = 1;
     return "single-thread";
@@ -107,7 +104,7 @@ std::string degradeStep(EngineKind& kind, Configuration& config,
     }
     return "gc-tight";
   }
-  if (kind == EngineKind::Alternating && simFallback) {
+  if (kind == EngineKind::Alternating) {
     kind = EngineKind::Simulation;
     return "sim-fallback";
   }
@@ -229,31 +226,13 @@ Result EquivalenceCheckingManager::run() {
     none.method = "none";
     return none;
   }
-  // Neither oracle wins everywhere (proportional on Grover-like circuits,
-  // lookahead on QFT/QPE/graph-state ones), so a parallel run races a
-  // lookahead alternating slot beside the configured one and takes the
-  // faster of the two for one extra core. Only when the pool has that core:
-  // a private pool is sized to the engines, while on a shared pool without
-  // a spare slot the extra task would queue ahead of simulation and slow
-  // every job down.
-  const bool raceLookahead =
-      config_.runAlternating && config_.parallel &&
-      config_.oracle != OracleStrategy::Lookahead &&
-      (externalPool_ == nullptr || externalPool_->slotCount() > kinds.size());
-  if (raceLookahead) {
-    kinds.push_back(EngineKind::Alternating);
-  }
   const std::size_t n = kinds.size();
-  const std::size_t lookaheadSlot = raceLookahead ? n - 1 : n;
 
   // Per-slot ladder state: the configuration (and kind) a slot currently
   // runs under, the rung applied before its current attempt, and the full
   // attempt lineage. Each slot's state is touched only by the task running
   // that slot (parallel rounds) or the manager thread (between rounds).
   std::vector<Configuration> slotConfig(n, config_);
-  if (raceLookahead) {
-    slotConfig[lookaheadSlot].oracle = OracleStrategy::Lookahead;
-  }
   std::vector<EngineKind> slotKind = kinds;
   std::vector<std::string> slotRung(n);
   std::vector<std::vector<AttemptRecord>> lineage(n);
@@ -373,18 +352,31 @@ Result EquivalenceCheckingManager::run() {
       // skips tasks only of a poisoned group), so its slot records Cancelled
       // (an honest "was started, then yielded") instead of NotRun.
       TaskGroup group(pool);
-      for (const auto i : pending) {
-        group.submit([&runAttempt, i] { runAttempt(i); });
+      // A failed submit (the task never reached the queue) or a task that
+      // failed before the engine firewall could engage (e.g. an injected
+      // pool.task_start fault, which poisons the group) leaves slots that
+      // never started. wait() runs even after a failed submit: the tasks
+      // queued before it write their slots' lineage, read below.
+      std::optional<std::string> startFailure;
+      try {
+        for (const auto i : pending) {
+          group.submit([&runAttempt, i] { runAttempt(i); });
+        }
+      } catch (const std::exception& e) {
+        startFailure = e.what();
       }
       try {
         group.wait();
       } catch (const std::exception& e) {
-        // A task failed before the engine firewall could engage (e.g. an
-        // injected pool.task_start fault). The group is poisoned: siblings
-        // that never started were skipped; their slots read NotRun (round
-        // 0) or still hold the previous round's failure. Record the aborted
-        // attempt on every such slot so it stays retryable by the ladder —
-        // and so the round provably consumed retry budget.
+        if (!startFailure) {
+          startFailure = e.what();
+        }
+      }
+      if (startFailure) {
+        // Slots that never started read NotRun (round 0) or still hold the
+        // previous round's failure. Record the aborted attempt on each so it
+        // stays retryable by the ladder — and so the round provably
+        // consumed retry budget.
         for (const auto i : pending) {
           if (lineage[i].size() != attemptsBefore[i]) {
             continue;  // runAttempt completed for this slot.
@@ -394,7 +386,7 @@ Result EquivalenceCheckingManager::run() {
           failure.method = name;
           failure.criterion = EquivalenceCriterion::EngineError;
           failure.errorMessage =
-              std::string("engine task failed to start: ") + e.what();
+              "engine task failed to start: " + *startFailure;
           AttemptRecord record;
           record.engine = name;
           record.attempt = lineage[i].size();
@@ -431,8 +423,7 @@ Result EquivalenceCheckingManager::run() {
       for (const auto i : pending) {
         if (isFailureSlot(engineResults_[i].criterion) &&
             lineage[i].size() <= config_.engineRetryLimit) {
-          slotRung[i] =
-              degradeStep(slotKind[i], slotConfig[i], i != lookaheadSlot);
+          slotRung[i] = degradeStep(slotKind[i], slotConfig[i]);
           retry.push_back(i);
         }
       }

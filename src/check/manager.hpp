@@ -4,11 +4,8 @@
 /// Mirrors the configuration evaluated in the paper (Sec. 6.1): the DD
 /// alternating checker runs in parallel with a sequence of random-stimuli
 /// simulation runs; if the simulations prove non-equivalence the alternating
-/// check is terminated early. A parallel run with a core to spare also races
-/// the alternating scheme under the lookahead oracle (appended as the last
-/// engine slot), since neither oracle wins on every circuit family. The ZX
-/// engine can be enabled as a further concurrent engine or invoked
-/// standalone via zxCheck().
+/// check is terminated early. The ZX engine can be enabled as a further
+/// concurrent engine or invoked standalone via zxCheck().
 #pragma once
 
 #include "check/dd_checkers.hpp"

@@ -46,7 +46,7 @@ enum class EquivalenceCriterion : std::uint8_t {
 /// Gate-application strategy of the alternating checker (Sec. 4.1's oracle).
 enum class OracleStrategy : std::uint8_t {
   Naive,        ///< one side completely, then the other
-  Proportional, ///< keep applied-gate counts proportional to circuit sizes
+  Proportional, ///< keep applied entangling-gate shares in step
   Lookahead,    ///< greedily pick the side yielding the smaller diagram
 };
 
@@ -59,9 +59,7 @@ struct Configuration {
   /// on 1 - fidelity for simulation runs.
   double checkTolerance = 1e-9;
   /// Oracle for the alternating scheme (ddAlternatingCheck and the
-  /// manager's first alternating slot). Unless it is Lookahead, a parallel
-  /// manager run whose pool has a spare core races a second alternating
-  /// slot under Lookahead beside it.
+  /// manager's alternating slot).
   OracleStrategy oracle = OracleStrategy::Proportional;
   /// Reconstruct CX-triples into SWAPs so they can be absorbed into the
   /// permutation tracker.
@@ -129,8 +127,7 @@ struct Configuration {
   /// Retries the manager grants each engine slot beyond its first attempt
   /// (0 = fail fast). Every retry runs under a configuration degraded one
   /// rung further down the ladder (single-thread, gc-tight, sim-fallback,
-  /// plain retry; the raced lookahead slot skips sim-fallback) and is
-  /// recorded in the result's attempt lineage.
+  /// plain retry) and is recorded in the result's attempt lineage.
   std::size_t engineRetryLimit = 0;
   /// Degraded-mode knob (set by the ladder's "gc-tight" rung, settable
   /// directly too): start DD garbage collection at a small initial

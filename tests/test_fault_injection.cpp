@@ -226,6 +226,10 @@ std::vector<SweepCase> sweepCases() {
     SweepCase c{fault::points::kPoolTaskStart, "pool.task_start:times=1",
                 config, circuits::ghz(3), circuits::ghz(3)};
     cases.push_back(std::move(c));
+    // ... and queues them through it.
+    SweepCase e{fault::points::kPoolEnqueue, "pool.enqueue:times=1", config,
+                circuits::ghz(3), circuits::ghz(3)};
+    cases.push_back(std::move(e));
   }
   return cases;
 }
@@ -353,14 +357,13 @@ TEST(DegradationLadderTest, AlternatingFallsBackToSimulation) {
   EXPECT_EQ(combined.criterion, EquivalenceCriterion::ProbablyEquivalent);
 }
 
-TEST(DegradationLadderTest, RacedLookaheadSlotSkipsSimFallback) {
-  // A parallel alternating-only run races a lookahead slot beside the
-  // proportional one. A persistent DD fault fails every attempt of both, so
-  // each walks its whole ladder: the proportional slot ends in the
-  // simulation fallback, the raced slot stays alternating (its fallback
-  // would only duplicate the simulation slot of a default run) and retries.
+TEST(DegradationLadderTest, ParallelSlotsWalkTheirOwnLadders) {
+  // A default parallel run: one alternating and one simulation slot. A
+  // persistent DD fault fails every attempt of both, so each walks its own
+  // ladder: the alternating slot ends in the simulation fallback, the
+  // simulation slot, with nothing left to degrade, in a plain retry.
   Configuration config;
-  config.runSimulation = false;
+  config.simulationRuns = 4;
   config.parallel = true;
   config.faultPlan = "dd.gc:times=0:throw=resource_limit";
   config.engineRetryLimit = 2;
@@ -369,22 +372,74 @@ TEST(DegradationLadderTest, RacedLookaheadSlotSkipsSimFallback) {
   const auto combined = manager.run();
   EXPECT_EQ(combined.criterion, EquivalenceCriterion::ResourceExhausted);
   ASSERT_EQ(manager.engineResults().size(), 2U);
-  const auto& proportional = manager.engineResults()[0];
-  ASSERT_EQ(proportional.attempts.size(), 3U);
-  EXPECT_EQ(proportional.attempts[2].degradation, "sim-fallback");
-  const auto& raced = manager.engineResults()[1];
-  ASSERT_EQ(raced.attempts.size(), 3U);
+  const auto& alternating = manager.engineResults()[0];
+  ASSERT_EQ(alternating.attempts.size(), 3U);
+  EXPECT_EQ(alternating.attempts[1].degradation, "gc-tight");
+  EXPECT_EQ(alternating.attempts[2].degradation, "sim-fallback");
+  EXPECT_EQ(alternating.attempts[2].engine.rfind("dd-simulation", 0), 0U);
+  const auto& simulation = manager.engineResults()[1];
+  ASSERT_EQ(simulation.attempts.size(), 3U);
   const char* rungs[] = {"", "gc-tight", "retry"};
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(raced.attempts[i].attempt, i);
-    EXPECT_EQ(raced.attempts[i].engine, "dd-alternating(lookahead)");
-    EXPECT_EQ(raced.attempts[i].degradation, rungs[i]);
-    EXPECT_EQ(raced.attempts[i].criterion, "resource_exhausted");
+    EXPECT_EQ(simulation.attempts[i].attempt, i);
+    EXPECT_EQ(simulation.attempts[i].engine, "dd-simulation(classical)");
+    EXPECT_EQ(simulation.attempts[i].degradation, rungs[i]);
+    EXPECT_EQ(simulation.attempts[i].criterion, "resource_exhausted");
   }
-  EXPECT_EQ(raced.degradation, "retry");
+  EXPECT_EQ(simulation.degradation, "retry");
   EXPECT_EQ(combined.attempts.size(), 6U);
   const auto report = buildRunReport(manager, combined, config);
   EXPECT_TRUE(validateRunReport(report).empty());
+}
+
+TEST(DegradationLadderTest, FailedEngineSubmitIsRetried) {
+  // The first engine task of the parallel round cannot be queued: neither
+  // slot started, so each is charged an engine_error attempt and retried,
+  // and the run still reaches a verdict instead of throwing out of run().
+  Configuration config;
+  config.simulationRuns = 4;
+  config.parallel = true;
+  config.faultPlan = "pool.enqueue:times=1";
+  config.engineRetryLimit = 2;
+  EquivalenceCheckingManager manager(circuits::ghz(3), circuits::ghz(3),
+                                     config);
+  const auto combined = manager.run();
+  EXPECT_EQ(combined.criterion, EquivalenceCriterion::Equivalent)
+      << combined.toString();
+  ASSERT_EQ(manager.engineResults().size(), 2U);
+  for (const auto& slot : manager.engineResults()) {
+    ASSERT_EQ(slot.attempts.size(), 2U) << slot.method;
+    EXPECT_EQ(slot.attempts[0].criterion, "engine_error");
+    EXPECT_NE(slot.attempts[0].errorMessage.find("failed to start"),
+              std::string::npos)
+        << slot.attempts[0].errorMessage;
+  }
+  EXPECT_EQ(manager.engineResults()[0].attempts[1].criterion, "equivalent");
+  const auto report = buildRunReport(manager, combined, config);
+  EXPECT_TRUE(validateRunReport(report).empty());
+}
+
+TEST(DegradationLadderTest, FailedSubmitWaitsForTheQueuedEngine) {
+  // The second submit fails after the alternating task is already queued:
+  // the round drains that task before reading the lineage, so its verdict
+  // stands and only the unsubmitted simulation slot records the failure.
+  Configuration config;
+  config.simulationRuns = 4;
+  config.parallel = true;
+  config.faultPlan = "pool.enqueue:after=1:times=1";
+  config.engineRetryLimit = 2;
+  EquivalenceCheckingManager manager(circuits::ghz(3), circuits::ghz(3),
+                                     config);
+  const auto combined = manager.run();
+  EXPECT_EQ(combined.criterion, EquivalenceCriterion::Equivalent)
+      << combined.toString();
+  ASSERT_EQ(manager.engineResults().size(), 2U);
+  EXPECT_EQ(manager.engineResults()[0].criterion,
+            EquivalenceCriterion::Equivalent);
+  const auto& simulation = manager.engineResults()[1];
+  EXPECT_EQ(simulation.criterion, EquivalenceCriterion::EngineError);
+  EXPECT_NE(simulation.errorMessage.find("failed to start"), std::string::npos)
+      << simulation.errorMessage;
 }
 
 TEST(DegradationLadderTest, RetryBudgetBoundsTheLadder) {

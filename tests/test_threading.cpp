@@ -135,11 +135,11 @@ TEST(ThreadingStressTest, TaskPoolGroupChurnUnderContention) {
   EXPECT_EQ(total.load(), 3 * 20 * 16);
 }
 
-TEST(ThreadingStressTest, RacedOraclesCancelTheirSiblings) {
-  // The three-slot race: proportional alternating, simulation and the
-  // raced lookahead alternating slot. The first definitive verdict's
-  // release store must cancel both siblings (the simulation slot faces far
-  // more runs than it can finish).
+TEST(ThreadingStressTest, RacedEnginesCancelTheirSiblings) {
+  // The two-slot race: proportional alternating and simulation. The
+  // alternating slot's definitive verdict must cancel its sibling through
+  // the release store (the simulation slot faces far more runs than it can
+  // finish).
   const auto a = circuits::qft(6);
   const auto b = circuits::qft(6);
   auto config = stressConfig();
@@ -150,16 +150,11 @@ TEST(ThreadingStressTest, RacedOraclesCancelTheirSiblings) {
     const auto result = manager.run();
     EXPECT_TRUE(provedEquivalent(result.criterion)) << result.toString();
     const auto& slots = manager.engineResults();
-    ASSERT_EQ(slots.size(), 3U);
-    EXPECT_EQ(slots[2].method, "dd-alternating(lookahead)");
+    ASSERT_EQ(slots.size(), 2U);
+    EXPECT_EQ(slots[0].method, "dd-alternating(proportional)");
+    EXPECT_TRUE(provedEquivalent(slots[0].criterion)) << slots[0].toString();
     EXPECT_EQ(slots[1].criterion, check::EquivalenceCriterion::Cancelled)
         << slots[1].toString();
-    for (const std::size_t i : {0U, 2U}) {
-      // An alternating slot either decided or was cancelled by its sibling.
-      EXPECT_TRUE(provedEquivalent(slots[i].criterion) ||
-                  slots[i].criterion == check::EquivalenceCriterion::Cancelled)
-          << slots[i].toString();
-    }
   }
 }
 
